@@ -11,11 +11,12 @@ live here too, plus the analytic cost model.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
+from xgblora.checkpoint import CheckpointState, save_checkpoint
 from xgblora.lora import AdapterSet, init_adapter_set, merge_adapters
 from xgblora.models import (
     Dataset,
@@ -25,7 +26,7 @@ from xgblora.models import (
     loss_eval,
     sort_key,
 )
-from xgblora.tensor import MomentumSgd, Rng, frobenius_norm, sgd_step
+from xgblora.tensor import Rng, frobenius_norm, sgd_step
 
 
 class ConfigError(ValueError):
@@ -54,7 +55,6 @@ class BoostConfig:
     include_embedding: bool = False
     alpha: float = 1.0
     record_merge_loss: bool = True
-    momentum: float = 0.0  # plain SGD by default; bound probes require 0
 
     def __post_init__(self):
         self.validate()
@@ -106,20 +106,23 @@ class BoostConfig:
             raise ConfigError(f"sample_layers must be >= 1, got {self.sample_layers}")
         if self.lam < 0:
             raise ConfigError(f"lam must be >= 0, got {self.lam}")
-        if self.eta < 0:
-            raise ConfigError(f"eta must be >= 0, got {self.eta}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        check_sgd(self.eta, self.batch_size)
         if self.policy not in ("qv", "all"):
             raise ConfigError(f"policy must be qv or all, got {self.policy!r}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
 
     def booster_steps(self, t: int) -> int:
         """Step count for booster t (1-based); the last may be a remainder."""
         if t < self.iterations:
             return self.steps_per_booster
         return self.total_steps - self.steps_per_booster * (self.iterations - 1)
+
+
+def check_sgd(eta: float, batch_size: int):
+    """The step-size and batch-size checks every training loop shares."""
+    if eta < 0:
+        raise ConfigError(f"eta must be >= 0, got {eta}")
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
 
 
 @dataclass
@@ -146,6 +149,16 @@ class BoosterTrace:
     # steps executed before this process picked the booster up (resume);
     # the weight path is exact, the per-step stats of those steps are not re-recorded
     prior_steps: int = 0
+
+    @staticmethod
+    def for_adapters(adapters: AdapterSet, prior_steps: int = 0) -> "BoosterTrace":
+        """Empty trace of the booster that trains `adapters`."""
+        return BoosterTrace(
+            t=adapters.booster_index,
+            selected_layers=sorted({wid.layer for wid in adapters.pairs}),
+            pair_stats={str(wid): PairStats(target=str(wid)) for wid in adapters.targets()},
+            prior_steps=prior_steps,
+        )
 
     @property
     def steps(self) -> int:
@@ -196,7 +209,6 @@ def train_booster(
     rng: Rng,
     trace: Optional[BoosterTrace] = None,
     max_steps: Optional[int] = None,
-    optimizer: Optional[MomentumSgd] = None,
 ) -> BoosterTrace:
     """Exactly kappa SGD steps on the adapter matrices; the base weights
     stay frozen. Resumable: pass the partial trace back in and training
@@ -207,8 +219,7 @@ def train_booster(
     if kappa < 1:
         raise ConfigError(f"kappa must be >= 1, got {kappa}")
     if trace is None:
-        trace = BoosterTrace(t=adapters.booster_index, selected_layers=sorted({w.layer for w in adapters.pairs}))
-        trace.pair_stats = {str(wid): PairStats(target=str(wid)) for wid in adapters.targets()}
+        trace = BoosterTrace.for_adapters(adapters)
     params = adapters.trainable_params()
     a_init = {str(wid): pair.a_init for wid, pair in adapters.pairs.items()}
 
@@ -229,10 +240,7 @@ def train_booster(
             eff = collect.get(wid)
             if eff is not None and eff.grad is not None:
                 ps.grad_eff_max = max(ps.grad_eff_max, frobenius_norm(eff.grad))
-        if optimizer is None:
-            sgd_step(params, eta)
-        else:
-            optimizer.step(params, eta)
+        sgd_step(params, eta)
         value = loss.item()
         if not np.isfinite(value):
             raise FloatingPointError(
@@ -253,7 +261,8 @@ def train_booster(
 
 @dataclass
 class BoostRun:
-    """Resumable state of one boosting run."""
+    """Resumable state of one boosting run; `start`, `resume` and `save`
+    are the one way to begin it, continue it from a checkpoint and write one."""
 
     model: ModelSpec
     data: Dataset
@@ -264,7 +273,32 @@ class BoostRun:
     adapters: Optional[AdapterSet] = None
     trace: Optional[BoosterTrace] = None
     traces: list[BoosterTrace] = field(default_factory=list)
-    optimizer: Optional[MomentumSgd] = None
+
+    @classmethod
+    def start(cls, model: ModelSpec, data: Dataset, cfg: BoostConfig) -> "BoostRun":
+        return cls(model=model, data=data, cfg=cfg, rng=Rng(cfg.seed))
+
+    @classmethod
+    def resume(cls, state: CheckpointState, data: Dataset, cfg: BoostConfig) -> "BoostRun":
+        """Continue the run a checkpoint holds. Only the run's own config
+        reproduces the uninterrupted run; any other raises ConfigError
+        naming each field that differs."""
+        if state.config is None:
+            raise ConfigError("checkpoint holds no boosting run (no run config stored); nothing to resume")
+        differ = [f"{k}={v!r} (checkpoint: {state.config.get(k)!r})"
+                  for k, v in asdict(cfg).items() if state.config.get(k) != v]
+        if differ:
+            raise ConfigError("a resume must use the run's own config; differs: " + ", ".join(differ))
+        run = cls(model=state.model, data=data, cfg=cfg, rng=Rng(state.rng_state),
+                  global_step=state.step, booster=state.booster, adapters=state.adapters)
+        if state.adapters is not None:
+            done = state.step - (state.booster - 1) * cfg.steps_per_booster
+            run.trace = BoosterTrace.for_adapters(state.adapters, prior_steps=done)
+        return run
+
+    def save(self, path):
+        save_checkpoint(path, self.model, step=self.global_step, booster=self.booster,
+                        rng_state=self.rng.state, adapters=self.adapters, config=asdict(self.cfg))
 
     @property
     def done(self) -> bool:
@@ -295,12 +329,7 @@ def boost_step(run: BoostRun, max_steps: Optional[int] = None, on_merge: Optiona
             run.adapters = init_adapter_set(
                 model, targets, cfg.rank, run.rng, booster_index=run.booster, alpha=cfg.alpha
             )
-            run.trace = BoosterTrace(t=run.booster, selected_layers=layers)
-            run.trace.pair_stats = {
-                str(wid): PairStats(target=str(wid)) for wid in run.adapters.targets()
-            }
-            # velocity restarts with each booster's fresh adapters
-            run.optimizer = MomentumSgd(cfg.momentum) if cfg.momentum else None
+            run.trace = BoosterTrace.for_adapters(run.adapters)
         kappa_t = cfg.booster_steps(run.booster)
         budget = None if max_steps is None else max_steps - executed
         before = run.trace.steps
@@ -315,7 +344,6 @@ def boost_step(run: BoostRun, max_steps: Optional[int] = None, on_merge: Optiona
             run.rng,
             trace=run.trace,
             max_steps=budget,
-            optimizer=run.optimizer,
         )
         executed += run.trace.steps - before
         run.global_step += run.trace.steps - before
@@ -346,7 +374,7 @@ def xgblora_fit(
     """Run the boosting loop to completion (or to stop_after_step, in which
     case the returned run can be resumed via the `run` argument)."""
     if run is None:
-        run = BoostRun(model=model, data=data, cfg=cfg, rng=Rng(cfg.seed))
+        run = BoostRun.start(model, data, cfg)
     budget = None if stop_after_step is None else max(stop_after_step - run.global_step, 0)
     boost_step(run, max_steps=budget, on_merge=on_merge)
     return run.model, run.traces
@@ -366,18 +394,15 @@ def lora_fit(
 ) -> tuple[ModelSpec, list[BoosterTrace]]:
     """Plain low-rank adaptation: one booster over all layers for all K
     steps, merged once at the end."""
-    cfg = BoostConfig(
-        iterations=1,
-        steps_per_booster=total_steps,
-        rank=rank,
-        sample_layers=model.layers,
-        lam=lam,
-        eta=eta,
-        batch_size=batch_size,
-        seed=seed,
-        policy=policy,
-    )
+    cfg = lora_config(model, total_steps, rank=rank, lam=lam, eta=eta,
+                      batch_size=batch_size, seed=seed, policy=policy)
     return xgblora_fit(model, data, cfg, on_merge=on_merge)
+
+
+def lora_config(model: ModelSpec, total_steps: int, **hyper) -> BoostConfig:
+    """The boosting schedule of plain low-rank adaptation: T=1, kappa=K,
+    every layer of `model`; `hyper` holds the other BoostConfig fields."""
+    return BoostConfig(iterations=1, steps_per_booster=total_steps, sample_layers=model.layers, **hyper)
 
 
 def full_finetune(
@@ -387,11 +412,10 @@ def full_finetune(
     eta: float,
     batch_size: int = 16,
     seed: int = 0,
-    momentum: float = 0.0,
 ) -> tuple[ModelSpec, list[float]]:
     """K SGD steps on every weight in the model."""
+    check_sgd(eta, batch_size)
     rng = Rng(seed)
-    opt = MomentumSgd(momentum)
     params = [model.weights[wid] for wid in sorted(model.weights, key=sort_key)]
     for p in params:
         p.requires_grad = True
@@ -401,7 +425,7 @@ def full_finetune(
             idx = rng.randint_array(data.n, batch_size)
             loss = batch_loss(model, data.batch(idx))
             loss.backward()
-            opt.step(params, eta)
+            sgd_step(params, eta)
             value = loss.item()
             if not np.isfinite(value):
                 raise FloatingPointError(f"full fine-tune diverged at step {step + 1}; lower eta")

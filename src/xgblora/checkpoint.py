@@ -1,16 +1,18 @@
 """Binary checkpoints: magic "XGBL", explicit version, little-endian float
-blocks keyed by weight id, optional live adapter set, PRNG state and step
-counter. Raw byte storage of the weight arrays makes save/load/resume
-bit-exact, which the serialization-framework alternatives cannot promise.
+blocks keyed by weight id, optional live adapter set, PRNG state, step
+counter and run config. Raw byte storage of the weight arrays makes
+save/load/resume bit-exact; a write is atomic (temp file, then rename).
 
 Layout (all integers little-endian):
     magic   4s   "XGBL"
-    version u16  (currently 1)
+    version u16  (currently 2; version 1 files are rejected)
     dtype   u8   0 = f64, 1 = f32
     step    u64  global optimizer step
     booster u32  1-based index of the booster in progress (0 = none)
     rng     u64  generator state
     spec    u32 length + UTF-8 JSON (model structure)
+    config  u32 length + UTF-8 JSON (the run's BoostConfig fields, or null
+            when no boosting run wrote the file, e.g. full fine-tuning)
     n_weights u32, then per weight:
         layer u16, role u8, ndim u8, dims u32 each, raw float bytes
     has_adapters u8; if 1:
@@ -21,7 +23,9 @@ Layout (all integers little-endian):
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -32,7 +36,7 @@ from xgblora.lora import AdapterSet, LoraPair
 from xgblora.models import ModelSpec, Role, Tensor, WeightId, sort_key
 
 MAGIC = b"XGBL"
-VERSION = 1
+VERSION = 2
 
 _ROLE_CODES = {role: i for i, role in enumerate(Role)}
 _CODE_ROLES = {i: role for role, i in _ROLE_CODES.items()}
@@ -61,6 +65,7 @@ class CheckpointState:
     booster: int
     rng_state: int
     adapters: Optional[AdapterSet] = None
+    config: Optional[dict] = None  # BoostConfig fields of the run, None if not a boosting run
 
 
 def _write(fh, fmt, *values):
@@ -104,41 +109,70 @@ def _read_wid(fh) -> WeightId:
     return WeightId(layer, _CODE_ROLES[code])
 
 
+def _write_json(fh, value):
+    raw = json.dumps(value, sort_keys=True).encode("utf-8")
+    _write(fh, "I", len(raw))
+    fh.write(raw)
+
+
+def _read_json(fh, what: str):
+    (length,) = _read(fh, "I")
+    raw = fh.read(length)
+    if len(raw) != length:
+        raise TruncatedCheckpoint(f"{what} block truncated")
+    return json.loads(raw.decode("utf-8"))
+
+
 def save_checkpoint(path, model: ModelSpec, step: int = 0, booster: int = 0,
-                    rng_state: int = 0, adapters: Optional[AdapterSet] = None):
+                    rng_state: int = 0, adapters: Optional[AdapterSet] = None,
+                    config: Optional[dict] = None):
+    """Write a temp file beside `path`, fsync it and rename it onto `path`,
+    so a failed write leaves the previous checkpoint intact."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            _write_body(fh, model, step, booster, rng_state, adapters, config)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def _write_body(fh, model, step, booster, rng_state, adapters, config):
     dtype = np.dtype(model.dtype)
     le_dtype = "<f4" if dtype == np.float32 else "<f8"
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        _write(fh, "H", VERSION)
-        _write(fh, "B", 1 if dtype == np.float32 else 0)
-        _write(fh, "Q", step)
-        _write(fh, "I", booster)
-        _write(fh, "Q", rng_state)
-        spec = json.dumps(model.structure(), sort_keys=True).encode("utf-8")
-        _write(fh, "I", len(spec))
-        fh.write(spec)
-        wids = sorted(model.weights, key=sort_key)
-        _write(fh, "I", len(wids))
-        for wid in wids:
-            _write_wid(fh, wid)
-            _write_array(fh, model.weights[wid].data, le_dtype)
-        if adapters is None:
-            _write(fh, "B", 0)
-        else:
-            adapters.check_live()
-            _write(fh, "B", 1)
-            _write(fh, "I", adapters.booster_index)
-            targets = adapters.targets()
-            _write(fh, "I", len(targets))
-            for wid in targets:
-                pair = adapters.pairs[wid]
-                _write_wid(fh, wid)
-                _write(fh, "I", pair.r)
-                _write(fh, "d", pair.alpha)
-                _write_array(fh, pair.a.data, le_dtype)
-                _write_array(fh, pair.b.data, le_dtype)
-                _write_array(fh, pair.a_init, le_dtype)
+    fh.write(MAGIC)
+    _write(fh, "H", VERSION)
+    _write(fh, "B", 1 if dtype == np.float32 else 0)
+    _write(fh, "Q", step)
+    _write(fh, "I", booster)
+    _write(fh, "Q", rng_state)
+    _write_json(fh, model.structure())
+    _write_json(fh, config)
+    wids = sorted(model.weights, key=sort_key)
+    _write(fh, "I", len(wids))
+    for wid in wids:
+        _write_wid(fh, wid)
+        _write_array(fh, model.weights[wid].data, le_dtype)
+    if adapters is None:
+        _write(fh, "B", 0)
+        return
+    adapters.check_live()
+    _write(fh, "B", 1)
+    _write(fh, "I", adapters.booster_index)
+    targets = adapters.targets()
+    _write(fh, "I", len(targets))
+    for wid in targets:
+        pair = adapters.pairs[wid]
+        _write_wid(fh, wid)
+        _write(fh, "I", pair.r)
+        _write(fh, "d", pair.alpha)
+        _write_array(fh, pair.a.data, le_dtype)
+        _write_array(fh, pair.b.data, le_dtype)
+        _write_array(fh, pair.a_init, le_dtype)
 
 
 def load_checkpoint(path) -> CheckpointState:
@@ -157,11 +191,8 @@ def load_checkpoint(path) -> CheckpointState:
         (step,) = _read(fh, "Q")
         (booster,) = _read(fh, "I")
         (rng_state,) = _read(fh, "Q")
-        (spec_len,) = _read(fh, "I")
-        spec_raw = fh.read(spec_len)
-        if len(spec_raw) != spec_len:
-            raise TruncatedCheckpoint("spec block truncated")
-        structure = json.loads(spec_raw.decode("utf-8"))
+        structure = _read_json(fh, "spec")
+        config = _read_json(fh, "config")
         (n_weights,) = _read(fh, "I")
         weights = {}
         for _ in range(n_weights):
@@ -193,5 +224,6 @@ def load_checkpoint(path) -> CheckpointState:
                 )
             adapters = AdapterSet(pairs=pairs, booster_index=booster_index)
         return CheckpointState(
-            model=model, step=step, booster=booster, rng_state=rng_state, adapters=adapters
+            model=model, step=step, booster=booster, rng_state=rng_state, adapters=adapters,
+            config=config,
         )

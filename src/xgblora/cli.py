@@ -18,9 +18,11 @@ from xgblora.boosting import (
     BoostRun,
     ConfigError,
     CostModel,
+    check_sgd,
     classic_gb_fit,
     cost_model_estimate,
     full_finetune,
+    lora_config,
     xgblora_fit,
 )
 from xgblora.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -84,19 +86,14 @@ def build_task(cfg: RunConfig):
     return data, model, None
 
 
-def _boost_config(cfg: RunConfig) -> BoostConfig:
-    return BoostConfig(
-        iterations=cfg.iterations,
-        steps_per_booster=cfg.kappa,
-        total_steps=cfg.total_steps,
-        rank=cfg.rank,
-        sample_layers=cfg.sample_layers,
-        lam=cfg.lam,
-        eta=cfg.eta,
-        batch_size=cfg.batch_size,
-        seed=cfg.seed,
-        policy=cfg.policy,
-    )
+def _boost_config(cfg: RunConfig, model) -> BoostConfig:
+    hyper = dict(rank=cfg.rank, lam=cfg.lam, eta=cfg.eta, batch_size=cfg.batch_size,
+                 seed=cfg.seed, policy=cfg.policy)
+    bc = BoostConfig(iterations=cfg.iterations, steps_per_booster=cfg.kappa,
+                     total_steps=cfg.total_steps, sample_layers=cfg.sample_layers, **hyper)
+    if cfg.method == "lora":
+        return lora_config(model, bc.total_steps, **hyper)
+    return bc
 
 
 def cmd_train(args) -> int:
@@ -115,16 +112,28 @@ def cmd_train(args) -> int:
     if args.iterations is not None and args.kappa is not None and args.total_steps is None:
         cfg.total_steps = args.iterations * args.kappa
     cfg.validate()
+    data, model, _ = build_task(cfg)
+    if cfg.method == "full-ft":
+        for flag, value in (("--resume", args.resume), ("--stop-after-step", args.stop_after_step)):
+            if value is not None:
+                raise ConfigError(f"{flag} is not supported with --method full-ft")
+        check_sgd(cfg.eta, cfg.batch_size)
+    else:
+        bc = _boost_config(cfg, model)
+        if args.resume:
+            run = BoostRun.resume(load_checkpoint(args.resume), data, bc)
+        else:
+            run = BoostRun.start(model, data, bc)
     os.makedirs(cfg.out_dir, exist_ok=True)
     save_config(cfg, os.path.join(cfg.out_dir, "run.cfg"))
-    data, model, _ = build_task(cfg)
     dtype_size = 4 if cfg.precision == "f32" else 8
     run_id = f"{cfg.method}-seed{cfg.seed}"
+    metrics_path = os.path.join(cfg.out_dir, "metrics.csv")
     ckpt_path = os.path.join(cfg.out_dir, "checkpoint.xgbl")
 
     if cfg.method == "full-ft":
         counts = param_count(model)
-        with MetricsWriter(os.path.join(cfg.out_dir, "metrics.csv"), run_id, counts["permille"]) as mw:
+        with MetricsWriter(metrics_path, run_id, counts["permille"]) as mw:
             model, losses = full_finetune(
                 model, data, total_steps=cfg.total_steps or 256, eta=cfg.eta,
                 batch_size=cfg.batch_size, seed=cfg.seed,
@@ -134,44 +143,9 @@ def cmd_train(args) -> int:
         print(f"final loss {loss_eval(model, data):.6g}")
         return EXIT_OK
 
-    bc = _boost_config(cfg)
-    if cfg.method == "lora":
-        bc = BoostConfig(
-            iterations=1,
-            steps_per_booster=bc.total_steps,
-            rank=cfg.rank,
-            sample_layers=model.layers,
-            lam=cfg.lam,
-            eta=cfg.eta,
-            batch_size=cfg.batch_size,
-            seed=cfg.seed,
-            policy=cfg.policy,
-        )
+    model = run.model
     counts = param_count(model, policy=cfg.policy, r=bc.rank)
-    if args.resume:
-        state = load_checkpoint(args.resume)
-        run = BoostRun(model=state.model, data=data, cfg=bc, rng=Rng(0))
-        run.rng.state = state.rng_state
-        run.global_step = state.step
-        run.booster = state.booster or 1
-        run.adapters = state.adapters
-        if run.adapters is not None:
-            from xgblora.boosting import BoosterTrace, PairStats
-
-            done = state.step - (run.booster - 1) * bc.steps_per_booster
-            run.trace = BoosterTrace(
-                t=run.booster,
-                selected_layers=sorted({w.layer for w in run.adapters.pairs}),
-                prior_steps=done,
-            )
-            run.trace.pair_stats = {
-                str(wid): PairStats(target=str(wid)) for wid in run.adapters.targets()
-            }
-        model = run.model
-    else:
-        run = BoostRun(model=model, data=data, cfg=bc, rng=Rng(bc.seed))
-
-    with MetricsWriter(os.path.join(cfg.out_dir, "metrics.csv"), run_id, counts["permille"]) as mw:
+    with MetricsWriter(metrics_path, run_id, counts["permille"], append=bool(args.resume)) as mw:
         def on_merge(trace):
             nbytes = adapter_update_bytes(run.adapters, dtype_size)
             if cfg.verbose_metrics:
@@ -182,14 +156,7 @@ def cmd_train(args) -> int:
 
         xgblora_fit(model, data, bc, on_merge=on_merge, stop_after_step=args.stop_after_step, run=run)
 
-    save_checkpoint(
-        ckpt_path,
-        model,
-        step=run.global_step,
-        booster=run.booster,
-        rng_state=run.rng.state,
-        adapters=run.adapters,
-    )
+    run.save(ckpt_path)
     status = "done" if run.done else f"paused at step {run.global_step}"
     print(f"{status}; train loss {loss_eval(model, data):.6g}")
     if model.output_map == "softmax-ce":

@@ -49,20 +49,14 @@ class RunConfig:
     verbose_metrics: bool = False
 
     def validate(self):
+        """Checks the fields only the shell reads; the training fields are
+        checked by BoostConfig and boosting.check_sgd."""
         if self.method not in ("xgblora", "lora", "full-ft"):
             raise ConfigFileError(f"method: unknown value {self.method!r}")
         if self.task not in ("teacher-matrix", "teacher-mlp", "parity-seq", "char-classify"):
             raise ConfigFileError(f"task: unknown value {self.task!r}")
         if self.precision not in ("f64", "f32"):
             raise ConfigFileError(f"precision: must be f64 or f32, got {self.precision!r}")
-        if self.policy not in ("qv", "all"):
-            raise ConfigFileError(f"policy: must be qv or all, got {self.policy!r}")
-        if self.rank < 1:
-            raise ConfigFileError(f"rank: must be >= 1, got {self.rank}")
-        if self.eta < 0:
-            raise ConfigFileError(f"eta: must be >= 0, got {self.eta}")
-        if self.batch_size < 1:
-            raise ConfigFileError(f"batch_size: must be >= 1, got {self.batch_size}")
         if self.n_examples < 1:
             raise ConfigFileError(f"n_examples: must be >= 1, got {self.n_examples}")
         return self

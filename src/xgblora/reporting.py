@@ -48,15 +48,21 @@ def model_update_bytes(model, dtype_size: int = 8) -> int:
 
 @dataclass
 class MetricsWriter:
+    """One CSV of metrics rows. With `append` (a resumed run) the rows go
+    after the ones already in the file; the header is written only when
+    the file is absent or empty."""
+
     path: str
     run_id: str
     permille: float = 1000.0
+    append: bool = False
 
     def __post_init__(self):
         self._start = time.monotonic()
-        self._fh = open(self.path, "w", encoding="utf-8", newline="")
-        self._fh.write(",".join(METRICS_HEADER) + "\n")
-        self._fh.flush()
+        self._fh = open(self.path, "a" if self.append else "w", encoding="utf-8", newline="")
+        if self._fh.tell() == 0:
+            self._fh.write(",".join(METRICS_HEADER) + "\n")
+            self._fh.flush()
 
     def write_iteration(self, trace, step: int, update_bytes: int):
         row = [

@@ -423,37 +423,6 @@ def sgd_step(params, eta: float, grads=None):
         p.grad = None
 
 
-class MomentumSgd:
-    """Velocity-carrying SGD: v <- mu*v + g, theta <- theta - eta*v.
-
-    mu=0 reproduces sgd_step exactly. Velocity is in-memory state only; a
-    run resumed from a checkpoint restarts it (the bit-exact resume
-    contract is for plain SGD).
-    """
-
-    def __init__(self, momentum: float = 0.0):
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self._velocity = {}
-
-    def step(self, params, eta: float):
-        if self.momentum == 0.0:
-            sgd_step(params, eta)
-            return
-        if eta < 0:
-            raise ValueError(f"step size must be >= 0, got {eta}")
-        for p in params:
-            g = p.grad
-            if g is None:
-                continue
-            v = self._velocity.get(id(p))
-            v = g if v is None else self.momentum * v + g
-            self._velocity[id(p)] = v
-            p.data -= eta * v
-            p.grad = None
-
-
 def finite_diff_gradient(f, theta: Tensor, eps: float = 1e-5) -> np.ndarray:
     """Central-difference gradient oracle: (f(θ+εe) − f(θ−εe)) / 2ε per coordinate.
 

@@ -439,28 +439,12 @@ class TestCriterion13OperationalShell:
         ref = task.make_student()
         xgblora_fit(ref, data, cfg)
         part = task.make_student()
-        run = BoostRun(model=part, data=data, cfg=cfg, rng=Rng(cfg.seed))
+        run = BoostRun.start(part, data, cfg)
         xgblora_fit(part, data, cfg, stop_after_step=7, run=run)
         mid = tmp_path / "mid.xgbl"
-        save_checkpoint(mid, part, step=run.global_step, booster=run.booster,
-                        rng_state=run.rng.state, adapters=run.adapters)
+        run.save(mid)
         state = load_checkpoint(mid)
-        resumed = BoostRun(model=state.model, data=data, cfg=cfg, rng=Rng(0))
-        resumed.rng.state = state.rng_state
-        resumed.global_step = state.step
-        resumed.booster = state.booster
-        resumed.adapters = state.adapters
-        from xgblora.boosting import BoosterTrace, PairStats
-
-        done = state.step - (state.booster - 1) * cfg.steps_per_booster
-        resumed.trace = BoosterTrace(
-            t=state.booster,
-            selected_layers=sorted({w.layer for w in state.adapters.pairs}),
-            prior_steps=done,
-        )
-        resumed.trace.pair_stats = {
-            str(w): PairStats(target=str(w)) for w in state.adapters.targets()
-        }
+        resumed = BoostRun.resume(state, data, cfg)
         xgblora_fit(state.model, data, cfg, run=resumed)
         for wid in ref.weights:
             assert np.array_equal(ref.weights[wid].data, state.model.weights[wid].data)

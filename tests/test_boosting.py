@@ -206,7 +206,7 @@ class TestXgbLoraFit:
                           eta=0.05, batch_size=8, seed=13)
         xgblora_fit(model_a, data, cfg)
 
-        run = bb.BoostRun(model=model_b, data=data, cfg=cfg, rng=Rng(cfg.seed))
+        run = bb.BoostRun.start(model_b, data, cfg)
         xgblora_fit(model_b, data, cfg, stop_after_step=7, run=run)  # mid-booster
         assert run.global_step == 7
         xgblora_fit(model_b, data, cfg, run=run)
@@ -223,47 +223,6 @@ class TestXgbLoraFit:
         _, traces = xgblora_fit(student, data2, cfg)
         subsets = {tuple(t.selected_layers) for t in traces}
         assert len(subsets) > 1
-
-
-class TestMomentum:
-    def test_zero_momentum_matches_plain_sgd(self):
-        data, task = gen_teacher_dataset("teacher-matrix", [5, 5], n=32, seed=1)
-        a = task.make_student()
-        b = task.make_student()
-        full_finetune(a, data, total_steps=20, eta=0.1, batch_size=8, seed=4)
-        full_finetune(b, data, total_steps=20, eta=0.1, batch_size=8, seed=4, momentum=0.0)
-        for wid in a.weights:
-            assert np.array_equal(a.weights[wid].data, b.weights[wid].data)
-
-    def test_momentum_changes_trajectory(self):
-        data, task = gen_teacher_dataset("teacher-matrix", [5, 5], n=32, seed=1)
-        a = task.make_student()
-        b = task.make_student()
-        full_finetune(a, data, total_steps=20, eta=0.1, batch_size=8, seed=4)
-        full_finetune(b, data, total_steps=20, eta=0.1, batch_size=8, seed=4, momentum=0.9)
-        wid = next(iter(a.weights))
-        assert not np.array_equal(a.weights[wid].data, b.weights[wid].data)
-
-    def test_momentum_velocity_math(self):
-        from xgblora.tensor import MomentumSgd, Tensor
-
-        p = Tensor([0.0], requires_grad=True)
-        opt = MomentumSgd(0.5)
-        p.grad = np.array([1.0])
-        opt.step([p], eta=1.0)  # v=1, p=-1
-        p.grad = np.array([1.0])
-        opt.step([p], eta=1.0)  # v=1.5, p=-2.5
-        assert np.allclose(p.data, [-2.5])
-
-    def test_boost_config_momentum_flag(self):
-        data, task = gen_teacher_dataset("teacher-matrix", [5, 5], n=32, seed=2)
-        model = task.make_student()
-        cfg = BoostConfig(iterations=2, steps_per_booster=6, rank=1, sample_layers=1,
-                          eta=0.3, batch_size=8, seed=3, momentum=0.8)
-        _, traces = xgblora_fit(model, data, cfg)
-        assert sum(t.steps for t in traces) == 12
-        with pytest.raises(ConfigError):
-            BoostConfig(iterations=1, steps_per_booster=2, momentum=1.5)
 
 
 class TestFullFinetune:

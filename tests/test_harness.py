@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from xgblora import models as mz
-from xgblora.boosting import BoostConfig, BoostRun, xgblora_fit
+from xgblora.boosting import BoostConfig, BoostRun, ConfigError, xgblora_fit
 from xgblora.checkpoint import (
     BadMagic,
     CheckpointError,
@@ -101,12 +101,45 @@ class TestCheckpoint:
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "v.xgbl"
+        for version in (99, 1):  # 1: the format before the run config was stored
+            save_checkpoint(path, small_model())
+            raw = bytearray(path.read_bytes())
+            raw[4:6] = version.to_bytes(2, "little")
+            path.write_bytes(bytes(raw))
+            with pytest.raises(VersionMismatch, match=f"version {version},"):
+                load_checkpoint(path)
+
+    def test_config_round_trip(self, tmp_path):
+        path = tmp_path / "c.xgbl"
+        save_checkpoint(path, small_model(), config={"eta": 0.1, "policy": "qv", "iterations": 3})
+        assert load_checkpoint(path).config == {"eta": 0.1, "policy": "qv", "iterations": 3}
         save_checkpoint(path, small_model())
-        raw = bytearray(path.read_bytes())
-        raw[4:6] = (99).to_bytes(2, "little")
-        path.write_bytes(bytes(raw))
-        with pytest.raises(VersionMismatch):
-            load_checkpoint(path)
+        assert load_checkpoint(path).config is None
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        import xgblora.checkpoint as ck
+
+        path = tmp_path / "keep.xgbl"
+        save_checkpoint(path, small_model(seed=4), step=3)
+        before = path.read_bytes()
+        real, calls = ck._write_array, []
+
+        def failing(fh, arr, dtype):
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            real(fh, arr, dtype)
+
+        monkeypatch.setattr(ck, "_write_array", failing)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, small_model(seed=9), step=4)
+        assert path.read_bytes() == before
+        state = load_checkpoint(path)
+        assert state.step == 3
+        ref = small_model(seed=4)
+        for wid in ref.weights:
+            assert np.array_equal(state.model.weights[wid].data, ref.weights[wid].data)
+        assert sorted(os.listdir(tmp_path)) == ["keep.xgbl"]
 
     def test_truncation_detected(self, tmp_path):
         path = tmp_path / "t.xgbl"
@@ -137,33 +170,33 @@ class TestResume:
         xgblora_fit(ref, data, cfg)
 
         model = task.make_student()
-        run = BoostRun(model=model, data=data, cfg=cfg, rng=Rng(cfg.seed))
+        run = BoostRun.start(model, data, cfg)
         xgblora_fit(model, data, cfg, stop_after_step=7, run=run)
         path = tmp_path / "mid.xgbl"
-        save_checkpoint(path, model, step=run.global_step, booster=run.booster,
-                        rng_state=run.rng.state, adapters=run.adapters)
+        run.save(path)
 
         state = load_checkpoint(path)
-        resumed = BoostRun(model=state.model, data=data, cfg=cfg, rng=Rng(0))
-        resumed.rng.state = state.rng_state
-        resumed.global_step = state.step
-        resumed.booster = state.booster
-        resumed.adapters = state.adapters
-        if state.adapters is not None:
-            from xgblora.boosting import BoosterTrace, PairStats
-
-            done = state.step - (state.booster - 1) * cfg.steps_per_booster
-            resumed.trace = BoosterTrace(
-                t=state.booster,
-                selected_layers=sorted({w.layer for w in state.adapters.pairs}),
-                prior_steps=done,
-            )
-            resumed.trace.pair_stats = {
-                str(w): PairStats(target=str(w)) for w in state.adapters.targets()
-            }
+        resumed = BoostRun.resume(state, data, cfg)
         xgblora_fit(state.model, data, cfg, run=resumed)
         for wid in ref.weights:
             assert np.array_equal(ref.weights[wid].data, state.model.weights[wid].data)
+
+    def test_resume_rejects_a_different_config(self, tmp_path):
+        data, task = gen_teacher_dataset("teacher-matrix", [6, 6], n=64, seed=2)
+        cfg = BoostConfig(iterations=4, steps_per_booster=5, rank=2, sample_layers=1,
+                          eta=0.4, batch_size=8, seed=13)
+        run = BoostRun.start(task.make_student(), data, cfg)
+        xgblora_fit(run.model, data, cfg, stop_after_step=7, run=run)
+        run.save(tmp_path / "mid.xgbl")
+        state = load_checkpoint(tmp_path / "mid.xgbl")
+        other = BoostConfig(total_steps=20, steps_per_booster=10, rank=2, sample_layers=1,
+                            eta=0.4, batch_size=8, seed=13)
+        with pytest.raises(ConfigError, match="steps_per_booster=10 \\(checkpoint: 5\\)"):
+            BoostRun.resume(state, data, other)
+        reseeded = BoostConfig(iterations=4, steps_per_booster=5, rank=2, sample_layers=1,
+                               eta=0.4, batch_size=8, seed=14)
+        with pytest.raises(ConfigError, match="seed=14"):
+            BoostRun.resume(state, data, reseeded)
 
 
 class TestReporting:
@@ -260,6 +293,17 @@ class TestCli:
         bad.write_text("rank=0\n")
         rc = main(["train", "--config", str(bad), "--seed", "1"])
         assert rc == 1
+        rc = main(["train", "--method", "full-ft", "--batch-size", "0", "--seed", "1",
+                   "--out-dir", str(tmp_path / "ft")])
+        assert rc == 1
+        assert not (tmp_path / "ft").exists()
+
+    @pytest.mark.parametrize("flag", [["--resume", "x.xgbl"], ["--stop-after-step", "4"]])
+    def test_full_ft_rejects_resume_flags(self, tmp_path, capsys, flag):
+        rc = main(["train", "--method", "full-ft", "--seed", "1", "--task", "teacher-matrix",
+                   "--dims", "4,4", "-K", "16", "--out-dir", str(tmp_path / "ft"), *flag])
+        assert rc == 1
+        assert flag[0] in capsys.readouterr().err
 
     def test_default_settings_run(self, tmp_path):
         """The documented default invocation trains out of the box."""
@@ -310,6 +354,46 @@ class TestCli:
         ])
         rows = read_metrics_csv(os.path.join(out_dir, "metrics.csv"))
         assert len(rows) == 2 * 3 + 2  # per-step rows plus one per merge
+
+    SMALL = [
+        "--seed", "5", "--task", "teacher-matrix", "--dims", "6,6", "--n-examples", "32",
+        "--r", "1", "--layers", "1", "--eta", "0.4", "--batch-size", "8",
+    ]
+
+    def test_resume_with_another_kappa_exits_1(self, tmp_path, capsys):
+        out = str(tmp_path / "k")
+        ckpt = os.path.join(out, "checkpoint.xgbl")
+        base = ["train", *self.SMALL, "-K", "32", "--out-dir", out]
+        assert main([*base, "--kappa", "8", "--stop-after-step", "20"]) == 0
+        before = open(ckpt, "rb").read()
+        capsys.readouterr()
+        assert main([*base, "--kappa", "16", "--resume", ckpt]) == 1
+        assert "steps_per_booster" in capsys.readouterr().err
+        assert open(ckpt, "rb").read() == before
+
+    def test_xgblora_resume_from_full_ft_checkpoint_exits_1(self, tmp_path, capsys):
+        out = str(tmp_path / "ft")
+        assert main(["train", "--method", "full-ft", *self.SMALL, "-K", "8", "--out-dir", out]) == 0
+        capsys.readouterr()
+        rc = main(["train", *self.SMALL, "-K", "8", "--kappa", "4", "--out-dir", str(tmp_path / "x"),
+                   "--resume", os.path.join(out, "checkpoint.xgbl")])
+        assert rc == 1
+        assert "no boosting run" in capsys.readouterr().err
+
+    def test_metrics_appended_on_resume(self, tmp_path):
+        from xgblora.reporting import read_metrics_csv
+
+        common = ["train", *self.SMALL, "-T", "4", "--kappa", "5"]
+        full_dir, out = str(tmp_path / "full"), str(tmp_path / "same")
+        assert main([*common, "--out-dir", full_dir]) == 0
+        assert main([*common, "--out-dir", out, "--stop-after-step", "7"]) == 0
+        assert main([*common, "--out-dir", out, "--resume", os.path.join(out, "checkpoint.xgbl")]) == 0
+
+        def key(d):
+            return [(r["iteration"], r["step"], r["loss"]) for r in read_metrics_csv(os.path.join(d, "metrics.csv"))]
+
+        assert len(key(out)) == 4
+        assert key(out) == key(full_dir)
 
     def test_cli_resume_matches_straight_run(self, tmp_path):
         common = [
