@@ -37,9 +37,9 @@ class ConfigError(ValueError):
 class BoostConfig:
     """Schedule and hyperparameters for the boosting loop.
 
-    Any two of (iterations, steps_per_booster, total_steps) determine the
-    third; giving all three requires consistency. A non-dividing total is
-    allowed: the final booster trains the remainder (with a warning).
+    The schedule is exactly total_steps = iterations * steps_per_booster
+    (K = T * kappa): give two of the three, or all three if they agree. A
+    total the given factor does not divide is an error.
     """
 
     iterations: Optional[int] = None  # T
@@ -60,12 +60,8 @@ class BoostConfig:
         self.validate()
 
     def validate(self):
-        given = {
-            "iterations": self.iterations,
-            "steps_per_booster": self.steps_per_booster,
-            "total_steps": self.total_steps,
-        }
-        known = {k: v for k, v in given.items() if v is not None}
+        schedule = ("iterations", "steps_per_booster", "total_steps")
+        known = {k: getattr(self, k) for k in schedule if getattr(self, k) is not None}
         if len(known) < 2:
             raise ConfigError(
                 "schedule underdetermined: give two of iterations/steps_per_booster/total_steps"
@@ -73,32 +69,18 @@ class BoostConfig:
         for name, v in known.items():
             if v < 1:
                 raise ConfigError(f"{name} must be >= 1, got {v}")
-        if self.iterations is None:
-            self.iterations = -(-self.total_steps // self.steps_per_booster)  # ceil
-        elif self.steps_per_booster is None:
-            if self.total_steps % self.iterations:
-                raise ConfigError(
-                    f"total_steps={self.total_steps} not divisible by iterations={self.iterations}"
-                )
-            self.steps_per_booster = self.total_steps // self.iterations
-        elif self.total_steps is None:
+        if self.total_steps is None:
             self.total_steps = self.iterations * self.steps_per_booster
-        elif self.steps_per_booster * self.iterations != self.total_steps:
-            if (
-                -(-self.total_steps // self.steps_per_booster) == self.iterations
-                and self.total_steps % self.steps_per_booster
-            ):
-                pass  # consistent with a remainder booster
-            else:
-                raise ConfigError(
-                    f"total_steps={self.total_steps} != steps_per_booster={self.steps_per_booster}"
-                    f" * iterations={self.iterations}"
-                )
-        if self.total_steps % self.steps_per_booster:
-            warnings.warn(
-                f"steps_per_booster={self.steps_per_booster} does not divide "
-                f"total_steps={self.total_steps}; final booster trains the remainder",
-                stacklevel=2,
+        for name in schedule[:2]:
+            part = getattr(self, name)
+            if part is not None and self.total_steps % part:
+                raise ConfigError(f"{name}={part} does not divide total_steps={self.total_steps}")
+        self.iterations = self.iterations or self.total_steps // self.steps_per_booster
+        self.steps_per_booster = self.steps_per_booster or self.total_steps // self.iterations
+        if self.iterations * self.steps_per_booster != self.total_steps:
+            raise ConfigError(
+                f"total_steps={self.total_steps} != iterations={self.iterations}"
+                f" * steps_per_booster={self.steps_per_booster}"
             )
         if self.rank < 1:
             raise ConfigError(f"rank must be >= 1, got {self.rank}")
@@ -109,12 +91,6 @@ class BoostConfig:
         check_sgd(self.eta, self.batch_size)
         if self.policy not in ("qv", "all"):
             raise ConfigError(f"policy must be qv or all, got {self.policy!r}")
-
-    def booster_steps(self, t: int) -> int:
-        """Step count for booster t (1-based); the last may be a remainder."""
-        if t < self.iterations:
-            return self.steps_per_booster
-        return self.total_steps - self.steps_per_booster * (self.iterations - 1)
 
 
 def check_sgd(eta: float, batch_size: int):
@@ -146,23 +122,29 @@ class BoosterTrace:
     pair_stats: dict = field(default_factory=dict)  # str(wid) -> PairStats
     pre_merge_loss: Optional[float] = None
     post_merge_loss: Optional[float] = None
-    # steps executed before this process picked the booster up (resume);
-    # the weight path is exact, the per-step stats of those steps are not re-recorded
-    prior_steps: int = 0
 
     @staticmethod
-    def for_adapters(adapters: AdapterSet, prior_steps: int = 0) -> "BoosterTrace":
-        """Empty trace of the booster that trains `adapters`."""
-        return BoosterTrace(
+    def for_adapters(adapters: AdapterSet, saved: Optional[dict] = None) -> "BoosterTrace":
+        """Trace of the booster that trains `adapters`: empty, or rebuilt
+        from the `saved()` dict a checkpoint stored mid-booster."""
+        trace = BoosterTrace(
             t=adapters.booster_index,
             selected_layers=sorted({wid.layer for wid in adapters.pairs}),
             pair_stats={str(wid): PairStats(target=str(wid)) for wid in adapters.targets()},
-            prior_steps=prior_steps,
         )
+        if saved is not None:
+            trace.step_losses = list(saved["step_losses"])
+            trace.pair_stats = {k: PairStats(**v) for k, v in saved["pair_stats"].items()}
+        return trace
+
+    def saved(self) -> dict:
+        """What a checkpoint keeps of a live booster's trace (JSON-ready)."""
+        return {"step_losses": self.step_losses,
+                "pair_stats": {k: asdict(ps) for k, ps in self.pair_stats.items()}}
 
     @property
     def steps(self) -> int:
-        return self.prior_steps + len(self.step_losses)
+        return len(self.step_losses)
 
     @property
     def grad_max(self) -> float:
@@ -281,28 +263,37 @@ class BoostRun:
     @classmethod
     def resume(cls, state: CheckpointState, data: Dataset, cfg: BoostConfig) -> "BoostRun":
         """Continue the run a checkpoint holds. Only the run's own config
-        reproduces the uninterrupted run; any other raises ConfigError
-        naming each field that differs."""
+        and data reproduce the uninterrupted run; any other raises
+        ConfigError naming what differs."""
         if state.config is None:
             raise ConfigError("checkpoint holds no boosting run (no run config stored); nothing to resume")
-        differ = [f"{k}={v!r} (checkpoint: {state.config.get(k)!r})"
-                  for k, v in asdict(cfg).items() if state.config.get(k) != v]
-        if differ:
-            raise ConfigError("a resume must use the run's own config; differs: " + ", ".join(differ))
+        check_resume("config", asdict(cfg), state.config)
+        check_resume("data", {"sha256": data.sha256()}, {"sha256": state.data_sha256})
         run = cls(model=state.model, data=data, cfg=cfg, rng=Rng(state.rng_state),
                   global_step=state.step, booster=state.booster, adapters=state.adapters)
         if state.adapters is not None:
-            done = state.step - (state.booster - 1) * cfg.steps_per_booster
-            run.trace = BoosterTrace.for_adapters(state.adapters, prior_steps=done)
+            if state.trace is None:
+                raise ConfigError("checkpoint holds a live booster without its trace; nothing to resume")
+            run.trace = BoosterTrace.for_adapters(state.adapters, state.trace)
         return run
 
     def save(self, path):
         save_checkpoint(path, self.model, step=self.global_step, booster=self.booster,
-                        rng_state=self.rng.state, adapters=self.adapters, config=asdict(self.cfg))
+                        rng_state=self.rng.state, adapters=self.adapters, config=asdict(self.cfg),
+                        data_sha256=self.data.sha256(),
+                        trace=None if self.trace is None else self.trace.saved())
 
     @property
     def done(self) -> bool:
         return self.booster > self.cfg.iterations
+
+
+def check_resume(what: str, ours: dict, stored: dict):
+    """Raise ConfigError naming each field of `ours` (the resume's config,
+    data or model) that differs from what the checkpoint stored."""
+    differ = [f"{k}={v!r} (checkpoint: {stored.get(k)!r})" for k, v in ours.items() if stored.get(k) != v]
+    if differ:
+        raise ConfigError(f"a resume must use the run's own {what}; differs: " + ", ".join(differ))
 
 
 def _booster_targets(model: ModelSpec, cfg: BoostConfig, layers: list[int]):
@@ -330,14 +321,13 @@ def boost_step(run: BoostRun, max_steps: Optional[int] = None, on_merge: Optiona
                 model, targets, cfg.rank, run.rng, booster_index=run.booster, alpha=cfg.alpha
             )
             run.trace = BoosterTrace.for_adapters(run.adapters)
-        kappa_t = cfg.booster_steps(run.booster)
         budget = None if max_steps is None else max_steps - executed
         before = run.trace.steps
         train_booster(
             model,
             run.adapters,
             run.data,
-            kappa_t,
+            cfg.steps_per_booster,
             cfg.lam,
             cfg.eta,
             cfg.batch_size,
@@ -347,7 +337,7 @@ def boost_step(run: BoostRun, max_steps: Optional[int] = None, on_merge: Optiona
         )
         executed += run.trace.steps - before
         run.global_step += run.trace.steps - before
-        if run.trace.steps < kappa_t:
+        if run.trace.steps < cfg.steps_per_booster:
             break  # budget exhausted mid-booster
         if cfg.record_merge_loss:
             run.trace.pre_merge_loss = loss_eval(model, run.data, run.adapters, lam=0.0)
@@ -414,6 +404,8 @@ def full_finetune(
     seed: int = 0,
 ) -> tuple[ModelSpec, list[float]]:
     """K SGD steps on every weight in the model."""
+    if total_steps < 1:
+        raise ConfigError(f"total_steps must be >= 1, got {total_steps}")
     check_sgd(eta, batch_size)
     rng = Rng(seed)
     params = [model.weights[wid] for wid in sorted(model.weights, key=sort_key)]

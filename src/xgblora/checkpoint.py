@@ -1,11 +1,12 @@
 """Binary checkpoints: magic "XGBL", explicit version, little-endian float
-blocks keyed by weight id, optional live adapter set, PRNG state, step
-counter and run config. Raw byte storage of the weight arrays makes
-save/load/resume bit-exact; a write is atomic (temp file, then rename).
+blocks keyed by weight id, optional live adapter set with its booster's
+trace, PRNG state, step counter, run config and dataset digest. Raw byte
+storage of the weight arrays makes save/load/resume bit-exact; a write is
+atomic (temp file, then rename).
 
 Layout (all integers little-endian):
     magic   4s   "XGBL"
-    version u16  (currently 2; version 1 files are rejected)
+    version u16  (currently 3; earlier versions are rejected)
     dtype   u8   0 = f64, 1 = f32
     step    u64  global optimizer step
     booster u32  1-based index of the booster in progress (0 = none)
@@ -13,12 +14,15 @@ Layout (all integers little-endian):
     spec    u32 length + UTF-8 JSON (model structure)
     config  u32 length + UTF-8 JSON (the run's BoostConfig fields, or null
             when no boosting run wrote the file, e.g. full fine-tuning)
+    data    u32 length + UTF-8 JSON (hex sha256 of the run's dataset, or null)
     n_weights u32, then per weight:
         layer u16, role u8, ndim u8, dims u32 each, raw float bytes
     has_adapters u8; if 1:
         booster_index u32, n_pairs u32, then per pair:
             layer u16, role u8, rank u32, alpha f64,
             A block (ndim/dims/raw), B block, A-init block
+        trace u32 length + UTF-8 JSON (the live booster's step losses and
+            per-pair statistics so far, or null)
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from xgblora.lora import AdapterSet, LoraPair
 from xgblora.models import ModelSpec, Role, Tensor, WeightId, sort_key
 
 MAGIC = b"XGBL"
-VERSION = 2
+VERSION = 3
 
 _ROLE_CODES = {role: i for i, role in enumerate(Role)}
 _CODE_ROLES = {i: role for role, i in _ROLE_CODES.items()}
@@ -66,6 +70,8 @@ class CheckpointState:
     rng_state: int
     adapters: Optional[AdapterSet] = None
     config: Optional[dict] = None  # BoostConfig fields of the run, None if not a boosting run
+    data_sha256: Optional[str] = None  # digest of the run's dataset
+    trace: Optional[dict] = None  # the live booster's BoosterTrace.saved()
 
 
 def _write(fh, fmt, *values):
@@ -125,13 +131,14 @@ def _read_json(fh, what: str):
 
 def save_checkpoint(path, model: ModelSpec, step: int = 0, booster: int = 0,
                     rng_state: int = 0, adapters: Optional[AdapterSet] = None,
-                    config: Optional[dict] = None):
+                    config: Optional[dict] = None, data_sha256: Optional[str] = None,
+                    trace: Optional[dict] = None):
     """Write a temp file beside `path`, fsync it and rename it onto `path`,
     so a failed write leaves the previous checkpoint intact."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            _write_body(fh, model, step, booster, rng_state, adapters, config)
+            _write_body(fh, model, step, booster, rng_state, adapters, config, data_sha256, trace)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -141,7 +148,7 @@ def save_checkpoint(path, model: ModelSpec, step: int = 0, booster: int = 0,
         raise
 
 
-def _write_body(fh, model, step, booster, rng_state, adapters, config):
+def _write_body(fh, model, step, booster, rng_state, adapters, config, data_sha256, trace):
     dtype = np.dtype(model.dtype)
     le_dtype = "<f4" if dtype == np.float32 else "<f8"
     fh.write(MAGIC)
@@ -152,6 +159,7 @@ def _write_body(fh, model, step, booster, rng_state, adapters, config):
     _write(fh, "Q", rng_state)
     _write_json(fh, model.structure())
     _write_json(fh, config)
+    _write_json(fh, data_sha256)
     wids = sorted(model.weights, key=sort_key)
     _write(fh, "I", len(wids))
     for wid in wids:
@@ -173,6 +181,7 @@ def _write_body(fh, model, step, booster, rng_state, adapters, config):
         _write_array(fh, pair.a.data, le_dtype)
         _write_array(fh, pair.b.data, le_dtype)
         _write_array(fh, pair.a_init, le_dtype)
+    _write_json(fh, trace)
 
 
 def load_checkpoint(path) -> CheckpointState:
@@ -193,6 +202,7 @@ def load_checkpoint(path) -> CheckpointState:
         (rng_state,) = _read(fh, "Q")
         structure = _read_json(fh, "spec")
         config = _read_json(fh, "config")
+        data_sha256 = _read_json(fh, "data")
         (n_weights,) = _read(fh, "I")
         weights = {}
         for _ in range(n_weights):
@@ -202,7 +212,7 @@ def load_checkpoint(path) -> CheckpointState:
         model = ModelSpec.from_structure(structure, weights)
 
         (has_adapters,) = _read(fh, "B")
-        adapters = None
+        adapters = trace = None
         if has_adapters:
             (booster_index,) = _read(fh, "I")
             (n_pairs,) = _read(fh, "I")
@@ -223,7 +233,8 @@ def load_checkpoint(path) -> CheckpointState:
                     _a_init=a_init,
                 )
             adapters = AdapterSet(pairs=pairs, booster_index=booster_index)
+            trace = _read_json(fh, "trace")
         return CheckpointState(
             model=model, step=step, booster=booster, rng_state=rng_state, adapters=adapters,
-            config=config,
+            config=config, data_sha256=data_sha256, trace=trace,
         )

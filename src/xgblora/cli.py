@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Optional
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from xgblora.boosting import (
     BoostRun,
     ConfigError,
     CostModel,
+    check_resume,
     check_sgd,
     classic_gb_fit,
     cost_model_estimate,
@@ -86,13 +88,28 @@ def build_task(cfg: RunConfig):
     return data, model, None
 
 
-def _boost_config(cfg: RunConfig, model) -> BoostConfig:
+def _schedule(cfg: RunConfig, model) -> Optional[BoostConfig]:
+    """Complete the run's schedule and write it back into `cfg`, so run.cfg
+    records the schedule that ran; returns the BoostConfig (None for
+    full-ft). lora and full-ft read only K (default 256). xgblora fills in
+    kappa=8, then K=256, until two of (T, kappa, K) are known, and
+    BoostConfig derives the third."""
+    if cfg.method == "xgblora":
+        for name, default in (("kappa", 8), ("total_steps", 256)):
+            known = sum(v is not None for v in (cfg.iterations, cfg.kappa, cfg.total_steps))
+            if known < 2 and getattr(cfg, name) is None:
+                setattr(cfg, name, default)
+    else:
+        cfg.iterations = cfg.kappa = None
+        cfg.total_steps = 256 if cfg.total_steps is None else cfg.total_steps
+        if cfg.method == "full-ft":
+            return None
     hyper = dict(rank=cfg.rank, lam=cfg.lam, eta=cfg.eta, batch_size=cfg.batch_size,
                  seed=cfg.seed, policy=cfg.policy)
-    bc = BoostConfig(iterations=cfg.iterations, steps_per_booster=cfg.kappa,
-                     total_steps=cfg.total_steps, sample_layers=cfg.sample_layers, **hyper)
-    if cfg.method == "lora":
-        return lora_config(model, bc.total_steps, **hyper)
+    bc = lora_config(model, cfg.total_steps, **hyper) if cfg.method == "lora" else BoostConfig(
+        iterations=cfg.iterations, steps_per_booster=cfg.kappa, total_steps=cfg.total_steps,
+        sample_layers=cfg.sample_layers, **hyper)
+    cfg.iterations, cfg.kappa, cfg.total_steps = bc.iterations, bc.steps_per_booster, bc.total_steps
     return bc
 
 
@@ -107,23 +124,20 @@ def cmd_train(args) -> int:
         v = getattr(args, name, None)
         if v is not None:
             setattr(cfg, name, v)
-    # an explicit -T/--kappa pair is a complete schedule; it beats the
-    # default step budget
-    if args.iterations is not None and args.kappa is not None and args.total_steps is None:
-        cfg.total_steps = args.iterations * args.kappa
     cfg.validate()
     data, model, _ = build_task(cfg)
-    if cfg.method == "full-ft":
+    bc = _schedule(cfg, model)
+    if bc is None:
         for flag, value in (("--resume", args.resume), ("--stop-after-step", args.stop_after_step)):
             if value is not None:
                 raise ConfigError(f"{flag} is not supported with --method full-ft")
         check_sgd(cfg.eta, cfg.batch_size)
+    elif args.resume:
+        state = load_checkpoint(args.resume)
+        check_resume("model", model.structure(), state.model.structure())
+        run = BoostRun.resume(state, data, bc)
     else:
-        bc = _boost_config(cfg, model)
-        if args.resume:
-            run = BoostRun.resume(load_checkpoint(args.resume), data, bc)
-        else:
-            run = BoostRun.start(model, data, bc)
+        run = BoostRun.start(model, data, bc)
     os.makedirs(cfg.out_dir, exist_ok=True)
     save_config(cfg, os.path.join(cfg.out_dir, "run.cfg"))
     dtype_size = 4 if cfg.precision == "f32" else 8
@@ -135,7 +149,7 @@ def cmd_train(args) -> int:
         counts = param_count(model)
         with MetricsWriter(metrics_path, run_id, counts["permille"]) as mw:
             model, losses = full_finetune(
-                model, data, total_steps=cfg.total_steps or 256, eta=cfg.eta,
+                model, data, total_steps=cfg.total_steps, eta=cfg.eta,
                 batch_size=cfg.batch_size, seed=cfg.seed,
             )
             mw.write_step(1, len(losses), losses[-1], model_update_bytes(model, dtype_size))
@@ -238,7 +252,7 @@ def cmd_sweep(args) -> int:
         "teacher-matrix", [16, 16], n=128, seed=args.seed,
         delta_kind="rotation", delta_scale=4.0,
     )
-    rt_grid = [(r, t) for r in args.ranks for t in args.iterations if args.total_steps % t == 0]
+    rt_grid = [(r, t) for r in args.ranks for t in args.iterations]
     report = probes.expressiveness_sweep(
         task, data, total_steps=args.total_steps, rt_grid=rt_grid, seeds=tuple(range(args.seeds))
     )

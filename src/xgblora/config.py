@@ -19,9 +19,11 @@ class ConfigFileError(ValueError):
 class RunConfig:
     # training method and schedule
     method: str = "xgblora"  # xgblora | lora | full-ft
+    # the schedule; the shell fills in kappa=8, then total_steps=256, until
+    # two of the three are known (cli._schedule)
     iterations: Optional[int] = None  # T
-    kappa: Optional[int] = 8  # steps per booster
-    total_steps: Optional[int] = 256  # K
+    kappa: Optional[int] = None  # steps per booster
+    total_steps: Optional[int] = None  # K
     rank: int = 1
     sample_layers: int = 8  # L_s
     lam: float = 0.0

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from xgblora.models import ModelSpec, WeightId, list_adaptable_weights, sort_key
-from xgblora.tensor import Rng, ShapeError, Tensor, matmul
+from xgblora.tensor import Rng, ShapeError, Tensor
 
 
 class AdapterError(ValueError):
@@ -101,20 +101,6 @@ def init_adapter_set(
             raise AdapterError(f"duplicate adapter target {wid}")
         pairs[wid] = init_adapter(model, wid, r, rng, alpha=alpha)
     return AdapterSet(pairs=pairs, booster_index=booster_index)
-
-
-def effective_weight(w0: Tensor, pair: LoraPair) -> Tensor:
-    """W0 + alpha*A@B as a graph node; W0 untouched."""
-    d, k = w0.data.shape
-    if pair.a.data.shape != (d, pair.r) or pair.b.data.shape != (pair.r, k):
-        raise ShapeError(
-            f"adapter shapes A{pair.a.data.shape} B{pair.b.data.shape} "
-            f"do not fit target {w0.data.shape}"
-        )
-    delta = matmul(pair.a, pair.b)
-    if pair.alpha != 1.0:
-        delta = delta * pair.alpha
-    return w0 + delta
 
 
 def merge_adapters(model: ModelSpec, adapters: AdapterSet) -> ModelSpec:

@@ -9,6 +9,7 @@ adapters can target any matrix.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -158,6 +159,14 @@ class Dataset:
     def full_batch(self) -> "Batch":
         return Batch(self.inputs, self.targets)
 
+    def sha256(self) -> str:
+        """Hex digest of the inputs and targets (dtype, shape and bytes)."""
+        h = hashlib.sha256()
+        for arr in (np.ascontiguousarray(self.inputs), np.ascontiguousarray(self.targets)):
+            h.update(f"{arr.dtype.str}{arr.shape}".encode())
+            h.update(arr.tobytes())
+        return h.hexdigest()
+
 
 @dataclass
 class Batch:
@@ -278,7 +287,9 @@ def list_adaptable_weights(model: ModelSpec, policy="qv", include_embedding=Fals
 def _resolve_weights(model: ModelSpec, adapters, collect):
     """Map wid -> effective weight tensor, materializing W + alpha*A@B for
     adapted matrices so merged and adapted forwards share the same float
-    path. Base weights are never mutated."""
+    path. Base weights are never mutated; an adapter whose A (d, r) or
+    B (r, k) does not fit its (d, k) target raises ShapeError rather than
+    broadcasting."""
     eff = {}
     pairs = {}
     if adapters is not None:
@@ -289,6 +300,12 @@ def _resolve_weights(model: ModelSpec, adapters, collect):
         if pair is None:
             eff[wid] = w
         else:
+            d, k = w.data.shape
+            if pair.a.data.shape != (d, pair.r) or pair.b.data.shape != (pair.r, k):
+                raise ShapeError(
+                    f"adapter for {wid} has shapes A{pair.a.data.shape} B{pair.b.data.shape}, "
+                    f"target is {w.data.shape}"
+                )
             delta = matmul(pair.a, pair.b)
             if pair.alpha != 1.0:
                 delta = delta * pair.alpha

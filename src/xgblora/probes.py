@@ -486,26 +486,26 @@ def convergence_sweep(
 DEFAULT_ETA_GRID = (0.5, 1.0, 2.0, 3.0, 4.0, 6.0)
 
 
-def _run_expressiveness_arm(task, data, total_steps, r, t, eta, batch_size, seeds, heldout_n):
-    """(mean train loss, heldout errors) for one (rank, iterations) arm at
-    one step size; raises FloatingPointError if any replicate diverges."""
-    train_losses, errs = [], []
-    for seed in seeds:
-        model = task.make_student()
-        cfg = BoostConfig(
-            iterations=int(t),
-            steps_per_booster=total_steps // int(t),
-            rank=int(r),
-            sample_layers=task.start.layers,
-            eta=eta,
-            batch_size=batch_size,
-            seed=seed * 104729 + r * 131 + t,
-            record_merge_loss=False,
-        )
-        xgblora_fit(model, data, cfg)
-        train_losses.append(loss_eval(model, data))
-        errs.append(task.heldout_error(model, n=heldout_n, seed=0xE7A1))
-    return float(np.mean(train_losses)), errs
+def _pick_step_size(candidates, run_arm: Callable, arm: str):
+    """(eta, result) of the candidate step size whose run_arm(eta) ->
+    (score, result) scores lowest. A candidate is disqualified when it
+    raises FloatingPointError or scores non-finite; on a tie the earlier
+    candidate wins. Raises FloatingPointError naming `arm` when every
+    candidate is disqualified."""
+    best = None
+    for eta in candidates:
+        try:
+            # overflow warnings are expected when a candidate rate diverges;
+            # the divergence disqualifies it
+            with np.errstate(over="ignore", invalid="ignore"):
+                score, result = run_arm(eta)
+        except FloatingPointError:
+            continue
+        if np.isfinite(score) and (best is None or score < best[0]):
+            best = (score, eta, result)
+    if best is None:
+        raise FloatingPointError(f"every step size diverged for {arm}")
+    return best[1], best[2]
 
 
 def expressiveness_sweep(
@@ -514,23 +514,22 @@ def expressiveness_sweep(
     total_steps: int,
     rt_grid,
     seeds=DEFAULT_SEEDS,
-    eta=None,
+    eta_grid=DEFAULT_ETA_GRID,
     batch_size: int = 128,
     heldout_n: int = 512,
 ) -> ProbeReport:
     """Held-out squared gap to the teacher at fixed total step budget.
 
     rt_grid is a list of (rank, iterations) pairs; steps per booster is
-    total_steps // iterations (must divide). iterations=0 evaluates the
-    untouched start model. `eta` may be a single step size or None, which
-    selects per arm from DEFAULT_ETA_GRID by final train loss (divergent
-    candidates disqualified) - a fixed-budget comparison is only fair when
-    each arm runs at its own stable rate. Fits the architecture constant
-    against both middle-term variants, 1/(M*sqrt(M)*T) and 1/(M*sqrt(T)),
-    and reports which fits better without asserting either.
+    total_steps / iterations (must divide). iterations=0 evaluates the
+    untouched start model. Each arm picks its step size from eta_grid by
+    mean final train loss over all seeds (divergent candidates
+    disqualified) - a fixed-budget comparison is only fair when each arm
+    runs at its own stable rate. Fits the architecture constant against
+    both middle-term variants, 1/(M*sqrt(M)*T) and 1/(M*sqrt(T)), and
+    reports which fits better without asserting either.
     """
     report = ProbeReport(probe="expressiveness")
-    candidates = DEFAULT_ETA_GRID if eta is None else (eta,)
     for r, t in rt_grid:
         point = GridPoint(params={"r": int(r), "t": int(t)})
         if t == 0:
@@ -539,24 +538,20 @@ def expressiveness_sweep(
             point.extras["eta"] = [0.0 for _ in seeds]
             report.points.append(point)
             continue
-        if total_steps % t:
-            raise ValueError(f"iterations {t} does not divide budget {total_steps}")
-        best = None
-        for cand in candidates:
-            try:
-                # overflow warnings are expected when a candidate rate
-                # diverges; divergence is caught and disqualifies it
-                with np.errstate(over="ignore", invalid="ignore"):
-                    score, errs = _run_expressiveness_arm(
-                        task, data, total_steps, r, t, cand, batch_size, seeds, heldout_n
-                    )
-            except FloatingPointError:
-                continue
-            if best is None or score < best[0]:
-                best = (score, cand, errs)
-        if best is None:
-            raise FloatingPointError(f"every step size diverged for arm (r={r}, t={t})")
-        _, chosen, errs = best
+
+        def run_arm(eta):
+            train_losses, errs = [], []
+            for seed in seeds:
+                model = task.make_student()
+                cfg = BoostConfig(iterations=int(t), total_steps=total_steps, rank=int(r),
+                                  sample_layers=task.start.layers, eta=eta, batch_size=batch_size,
+                                  seed=seed * 104729 + r * 131 + t, record_merge_loss=False)
+                xgblora_fit(model, data, cfg)
+                train_losses.append(loss_eval(model, data))
+                errs.append(task.heldout_error(model, n=heldout_n, seed=0xE7A1))
+            return float(np.mean(train_losses)), errs
+
+        chosen, errs = _pick_step_size(eta_grid, run_arm, arm=f"arm (r={r}, t={t})")
         point.values = errs
         point.extras["eta"] = [chosen for _ in errs]
         report.points.append(point)
@@ -633,43 +628,21 @@ def kappa_sweep(
     report = ProbeReport(probe="kappa_sweep")
     eval_data = eval_data or data
     for kappa in kappa_grid:
-        if total_steps % kappa:
-            raise ValueError(f"kappa {kappa} does not divide budget {total_steps}")
         point = GridPoint(params={"kappa": int(kappa)})
 
-        def run_one(eta, seed):
-            model = model_builder()
-            cfg = BoostConfig(
-                iterations=total_steps // int(kappa),
-                steps_per_booster=int(kappa),
-                rank=rank,
-                sample_layers=sample_layers or model.layers,
-                policy=policy,
-                eta=eta,
-                batch_size=batch_size,
-                seed=seed * 60013 + kappa,
-                record_merge_loss=False,
-            )
-            xgblora_fit(model, data, cfg)
-            return model
-
-        best = None
-        for cand in eta_grid:
+        def run_arm(eta):
             losses, accs = [], []
-            try:
-                for seed in seeds:
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        model = run_one(cand, seed)
-                    losses.append(loss_eval(model, data))
-                    accs.append(accuracy(model, eval_data))
-            except FloatingPointError:
-                continue
-            score = float(np.mean(losses))
-            if best is None or score < best[0]:
-                best = (score, cand, accs)
-        if best is None:
-            raise FloatingPointError(f"every step size diverged for kappa={kappa}")
-        _, chosen, accs = best
+            for seed in seeds:
+                model = model_builder()
+                cfg = BoostConfig(steps_per_booster=int(kappa), total_steps=total_steps, rank=rank,
+                                  sample_layers=sample_layers or model.layers, policy=policy, eta=eta,
+                                  batch_size=batch_size, seed=seed * 60013 + kappa, record_merge_loss=False)
+                xgblora_fit(model, data, cfg)
+                losses.append(loss_eval(model, data))
+                accs.append(accuracy(model, eval_data))
+            return float(np.mean(losses)), accs
+
+        chosen, accs = _pick_step_size(eta_grid, run_arm, arm=f"kappa={kappa}")
         point.values = accs
         point.extras["eta"] = [chosen for _ in seeds]
         report.points.append(point)

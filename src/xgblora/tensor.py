@@ -5,7 +5,9 @@ The op set is deliberately small: matmul, transpose, add/sub/mul, scalar
 ops, relu, gelu (tanh form), row softmax, layer norm, embedding gather,
 reshape, sum/mean, cross-entropy-with-logits, mse. Everything runs on
 contiguous float64 arrays by default; float32 is selectable per run.
-Single-threaded execution order is the determinism baseline.
+Fixed seed and dtype give bit-identical runs. A test pins that a short
+parity fit ends on the same weight bits with OpenBLAS on one thread and
+on two; other BLAS builds and thread counts are not checked.
 """
 
 from __future__ import annotations

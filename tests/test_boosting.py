@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import xgblora
 from xgblora import boosting as bb
 from xgblora import models as mz
 from xgblora.boosting import (
@@ -36,11 +40,14 @@ class TestBoostConfig:
         with pytest.raises(ConfigError):
             BoostConfig(iterations=5, steps_per_booster=8, total_steps=99)
 
-    def test_remainder_booster_warns(self):
-        with pytest.warns(UserWarning, match="remainder"):
-            cfg = BoostConfig(steps_per_booster=8, total_steps=20)
-        assert cfg.iterations == 3
-        assert [cfg.booster_steps(t) for t in (1, 2, 3)] == [8, 8, 4]
+    def test_non_dividing_schedule_rejected(self):
+        for schedule in (
+            dict(steps_per_booster=8, total_steps=20),
+            dict(iterations=3, total_steps=16),
+            dict(iterations=3, steps_per_booster=8, total_steps=20),
+        ):
+            with pytest.raises(ConfigError, match="divide"):
+                BoostConfig(**schedule)
 
     def test_underdetermined_rejected(self):
         with pytest.raises(ConfigError):
@@ -223,6 +230,36 @@ class TestXgbLoraFit:
         _, traces = xgblora_fit(student, data2, cfg)
         subsets = {tuple(t.selected_layers) for t in traces}
         assert len(subsets) > 1
+
+    def test_blas_thread_count_does_not_move_bits(self):
+        """A short parity fit ends on the same weight bits with OpenBLAS on
+        one thread and on two."""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(xgblora.__file__)))
+        digests = []
+        for threads in ("1", "2"):
+            env["OPENBLAS_NUM_THREADS"] = threads
+            done = subprocess.run([sys.executable, "-c", PARITY_FIT_DIGEST], env=env,
+                                  capture_output=True, text=True, check=True)
+            digests.append(done.stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
+
+
+# prints the sha256 of the final weights of a 2 x 16-step parity fit
+PARITY_FIT_DIGEST = """
+import hashlib
+from xgblora import BoostConfig, Rng, build_transformer, gen_sequence_dataset, xgblora_fit
+from xgblora.models import sort_key
+data = gen_sequence_dataset("parity", seq_len=4, n=128, seed=0)
+model = build_transformer(vocab=2, d_model=32, n_layers=4, n_heads=4, d_ff=64, rng=Rng(1), max_seq=4)
+cfg = BoostConfig(iterations=2, steps_per_booster=16, rank=1, sample_layers=2, policy="all",
+                  eta=1.0, batch_size=64, seed=0, record_merge_loss=False)
+xgblora_fit(model, data, cfg)
+h = hashlib.sha256()
+for wid in sorted(model.weights, key=sort_key):
+    h.update(model.weights[wid].data.tobytes())
+print(h.hexdigest())
+"""
 
 
 class TestFullFinetune:

@@ -101,7 +101,8 @@ class TestCheckpoint:
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "v.xgbl"
-        for version in (99, 1):  # 1: the format before the run config was stored
+        # 1: before the run config was stored; 2: before the data digest and live trace
+        for version in (99, 1, 2):
             save_checkpoint(path, small_model())
             raw = bytearray(path.read_bytes())
             raw[4:6] = version.to_bytes(2, "little")
@@ -197,6 +198,38 @@ class TestResume:
                                eta=0.4, batch_size=8, seed=14)
         with pytest.raises(ConfigError, match="seed=14"):
             BoostRun.resume(state, data, reseeded)
+        save_checkpoint(tmp_path / "bare.xgbl", state.model, step=7, booster=2, adapters=state.adapters,
+                        config=state.config, data_sha256=data.sha256())
+        with pytest.raises(ConfigError, match="without its trace"):
+            BoostRun.resume(load_checkpoint(tmp_path / "bare.xgbl"), data, cfg)
+
+    def test_resume_rejects_other_data(self, tmp_path):
+        data, task = gen_teacher_dataset("teacher-matrix", [6, 6], n=32, seed=2)
+        more, _ = gen_teacher_dataset("teacher-matrix", [6, 6], n=64, seed=2)
+        cfg = BoostConfig(iterations=4, steps_per_booster=5, rank=2, sample_layers=1,
+                          eta=0.4, batch_size=8, seed=13)
+        run = BoostRun.start(task.make_student(), data, cfg)
+        xgblora_fit(run.model, data, cfg, stop_after_step=7, run=run)
+        run.save(tmp_path / "mid.xgbl")
+        state = load_checkpoint(tmp_path / "mid.xgbl")
+        assert state.data_sha256 == data.sha256() != more.sha256()
+        with pytest.raises(ConfigError, match="own data"):
+            BoostRun.resume(state, more, cfg)
+
+    def test_resume_restores_the_live_booster_trace(self, tmp_path):
+        """A booster that straddles the pause ends with the same step losses
+        and per-pair statistics as in the uninterrupted run."""
+        data, task = gen_teacher_dataset("teacher-matrix", [6, 6], n=64, seed=2)
+        cfg = BoostConfig(iterations=4, steps_per_booster=5, rank=2, sample_layers=1,
+                          eta=0.4, batch_size=8, seed=13)
+        _, ref = xgblora_fit(task.make_student(), data, cfg)
+        run = BoostRun.start(task.make_student(), data, cfg)
+        xgblora_fit(run.model, data, cfg, stop_after_step=3, run=run)
+        run.save(tmp_path / "mid.xgbl")
+        resumed = BoostRun.resume(load_checkpoint(tmp_path / "mid.xgbl"), data, cfg)
+        assert resumed.trace.steps == 3
+        _, traces = xgblora_fit(resumed.model, data, cfg, run=resumed)
+        assert traces == ref
 
 
 class TestReporting:
@@ -297,6 +330,8 @@ class TestCli:
                    "--out-dir", str(tmp_path / "ft")])
         assert rc == 1
         assert not (tmp_path / "ft").exists()
+        assert main(["train", "--method", "full-ft", "-K", "0", "--seed", "1",
+                     "--out-dir", str(tmp_path / "ft0")]) == 1
 
     @pytest.mark.parametrize("flag", [["--resume", "x.xgbl"], ["--stop-after-step", "4"]])
     def test_full_ft_rejects_resume_flags(self, tmp_path, capsys, flag):
@@ -381,19 +416,77 @@ class TestCli:
         assert "no boosting run" in capsys.readouterr().err
 
     def test_metrics_appended_on_resume(self, tmp_path):
+        """Paused mid-booster and resumed, metrics.csv equals the
+        uninterrupted run's in every column but the wall clock."""
         from xgblora.reporting import read_metrics_csv
 
-        common = ["train", *self.SMALL, "-T", "4", "--kappa", "5"]
-        full_dir, out = str(tmp_path / "full"), str(tmp_path / "same")
-        assert main([*common, "--out-dir", full_dir]) == 0
-        assert main([*common, "--out-dir", out, "--stop-after-step", "7"]) == 0
-        assert main([*common, "--out-dir", out, "--resume", os.path.join(out, "checkpoint.xgbl")]) == 0
+        def rows(d):
+            return [{k: v for k, v in r.items() if k != "wall_ms"}
+                    for r in read_metrics_csv(os.path.join(d, "metrics.csv"))]
 
-        def key(d):
-            return [(r["iteration"], r["step"], r["loss"]) for r in read_metrics_csv(os.path.join(d, "metrics.csv"))]
+        for verbose in ([], ["--verbose-metrics"]):
+            common = ["train", *self.SMALL, "-T", "4", "--kappa", "5", *verbose]
+            full_dir = str(tmp_path / f"full{len(verbose)}")
+            assert main([*common, "--out-dir", full_dir]) == 0
+            assert len(rows(full_dir)) == (4 * 5 + 4 if verbose else 4)
+            for pause in (3, 7):
+                out = str(tmp_path / f"part{len(verbose)}-{pause}")
+                assert main([*common, "--out-dir", out, "--stop-after-step", str(pause)]) == 0
+                assert main([*common, "--out-dir", out, "--resume", os.path.join(out, "checkpoint.xgbl")]) == 0
+                assert rows(out) == rows(full_dir), (verbose, pause)
 
-        assert len(key(out)) == 4
-        assert key(out) == key(full_dir)
+    def test_resume_on_other_data_or_model_exits_1(self, tmp_path, capsys):
+        out = str(tmp_path / "d")
+        ckpt = os.path.join(out, "checkpoint.xgbl")
+        base = ["train", *self.SMALL, "-T", "4", "--kappa", "5", "--out-dir", out]
+        assert main([*base, "--stop-after-step", "7"]) == 0
+        before = open(ckpt, "rb").read()
+        capsys.readouterr()
+        assert main([*base, "--n-examples", "64", "--resume", ckpt]) == 1
+        assert "own data" in capsys.readouterr().err
+        assert main([*base, "--dims", "6,4", "--resume", ckpt]) == 1
+        assert "own model" in capsys.readouterr().err
+        assert open(ckpt, "rb").read() == before
+
+    @pytest.mark.parametrize("method, flags, schedule", [
+        ("xgblora", [], (32, 8, 256)),
+        ("xgblora", ["-T", "4"], (4, 8, 32)),
+        ("xgblora", ["--kappa", "4"], (64, 4, 256)),
+        ("xgblora", ["-T", "4", "-K", "64"], (4, 16, 64)),
+        ("xgblora", ["-K", "16"], (2, 8, 16)),
+        ("lora", ["-T", "4"], (1, 256, 256)),
+        ("lora", ["-K", "24"], (1, 24, 24)),
+    ])
+    def test_schedule_filled_and_recorded(self, tmp_path, method, flags, schedule):
+        """kappa=8, then K=256 fill in until two of (T, kappa, K) are known;
+        lora reads only K. run.cfg records the schedule that ran."""
+        from xgblora.config import load_config
+
+        out = str(tmp_path / "s")
+        assert main(["train", *self.SMALL, "--method", method, *flags, "--out-dir", out]) == 0
+        cfg = load_config(os.path.join(out, "run.cfg"))
+        assert (cfg.iterations, cfg.kappa, cfg.total_steps) == schedule
+        state = load_checkpoint(os.path.join(out, "checkpoint.xgbl"))
+        assert (state.config["iterations"], state.config["steps_per_booster"]) == schedule[:2]
+
+    def test_full_ft_reads_only_total_steps(self, tmp_path):
+        from xgblora.config import load_config
+
+        out = str(tmp_path / "ft")
+        assert main(["train", *self.SMALL, "--method", "full-ft", "-T", "3", "--out-dir", out]) == 0
+        cfg = load_config(os.path.join(out, "run.cfg"))
+        assert (cfg.iterations, cfg.kappa, cfg.total_steps) == (None, None, 256)
+        assert load_checkpoint(os.path.join(out, "checkpoint.xgbl")).step == 256
+
+    @pytest.mark.parametrize("argv", [
+        ["train", *SMALL, "-K", "100"],
+        ["train", *SMALL, "-T", "3", "--kappa", "4", "-K", "16"],
+        ["sweep", "--iterations", "3", "--total-steps", "16", "--seeds", "1"],
+    ])
+    def test_non_dividing_schedule_exits_1(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out-dir", str(tmp_path / "x")]) == 1
+        assert "does not divide" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_cli_resume_matches_straight_run(self, tmp_path):
         common = [

@@ -4,8 +4,8 @@ import pytest
 from xgblora import models as mz
 from xgblora.lora import (
     AdapterError,
+    AdapterSet,
     LoraPair,
-    effective_weight,
     init_adapter,
     init_adapter_set,
     merge_adapters,
@@ -56,40 +56,52 @@ class TestInit:
             assert np.sum(s > 1e-9 * max(s[0], 1e-30)) <= r
 
 
+def effective(model, pair):
+    """The effective weight W0 + alpha*A@B that models.forward builds for
+    `pair`'s target, read back through forward(..., collect=)."""
+    collect = {}
+    x = np.ones((1, model.dims[0]))
+    mz.forward(model, x, adapters=AdapterSet({pair.target: pair}), collect=collect)
+    return collect[pair.target]
+
+
 class TestEffectiveWeight:
     def test_b_zero_returns_w0(self):
         m = mlp()
         w0 = m.weights[WeightId(1, Role.MLP_DENSE)]
         pair = init_adapter(m, WeightId(1, Role.MLP_DENSE), r=2, rng=Rng(1))
-        assert np.array_equal(effective_weight(w0, pair).data, w0.data)
+        assert np.array_equal(effective(m, pair).data, w0.data)
 
     def test_outer_product_case(self):
-        w0 = Tensor(np.zeros((2, 2)))
+        m = build_mlp([2, 2], rng=Rng(1))
+        m.weights[WeightId(1, Role.MLP_DENSE)].data = np.zeros((2, 2))
         pair = LoraPair(
             target=WeightId(1, Role.MLP_DENSE),
             a=Tensor([[1.0], [2.0]]),
             b=Tensor([[3.0, 4.0]]),
             r=1,
         )
-        assert np.array_equal(effective_weight(w0, pair).data, [[3.0, 4.0], [6.0, 8.0]])
+        assert np.array_equal(effective(m, pair).data, [[3.0, 4.0], [6.0, 8.0]])
 
     def test_alpha_zero_returns_w0(self):
         m = mlp()
         w0 = m.weights[WeightId(1, Role.MLP_DENSE)]
         pair = init_adapter(m, WeightId(1, Role.MLP_DENSE), r=2, rng=Rng(1), alpha=0.0)
         pair.b.data = np.ones_like(pair.b.data)
-        assert np.array_equal(effective_weight(w0, pair).data, w0.data)
+        assert np.array_equal(effective(m, pair).data, w0.data)
 
     def test_shape_mismatch(self):
-        w0 = Tensor(np.zeros((3, 3)))
-        pair = LoraPair(
-            target=WeightId(1, Role.MLP_DENSE),
-            a=Tensor(np.zeros((2, 1))),
-            b=Tensor(np.zeros((1, 3))),
-            r=1,
-        )
-        with pytest.raises(ShapeError):
-            effective_weight(w0, pair)
+        m = build_mlp([3, 3], rng=Rng(1))
+        # an A of (1, 1) would broadcast onto the (3, 3) target without the check
+        for a_shape in ((2, 1), (1, 1)):
+            pair = LoraPair(
+                target=WeightId(1, Role.MLP_DENSE),
+                a=Tensor(np.zeros(a_shape)),
+                b=Tensor(np.zeros((1, 3))),
+                r=1,
+            )
+            with pytest.raises(ShapeError):
+                effective(m, pair)
 
 
 class TestMerge:

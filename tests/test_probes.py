@@ -232,8 +232,59 @@ class TestExpressivenessSweep:
     def test_eta_recorded_per_arm(self, rotation_teacher):
         data, task = rotation_teacher
         rep = expressiveness_sweep(task, data, total_steps=64, rt_grid=[(1, 8)],
-                                   seeds=range(2), eta=1.0, batch_size=96)
+                                   seeds=range(2), eta_grid=(1.0,), batch_size=96)
         assert rep.point(r=1, t=8).extras["eta"] == [1.0, 1.0]
+
+
+class TestPickStepSize:
+    """Both sweeps choose each arm's step size through _pick_step_size."""
+
+    def test_lowest_finite_score_wins_and_ties_keep_the_earlier(self):
+        scores = {0.5: 2.0, 1.0: float("nan"), 2.0: 1.0, 3.0: 1.0, 4.0: float("inf")}
+        got = probes._pick_step_size(scores, lambda eta: (scores[eta], f"run{eta}"), arm="demo")
+        assert got == (2.0, "run2.0")
+
+    def test_all_disqualified_names_the_arm(self):
+        def run_arm(eta):
+            if eta > 1:
+                raise FloatingPointError("diverged")
+            return float("nan"), None
+
+        with pytest.raises(FloatingPointError, match="kappa=4"):
+            probes._pick_step_size((1.0, 2.0), run_arm, arm="kappa=4")
+
+    def test_kappa_sweep_skips_a_nan_candidate(self):
+        from xgblora.models import build_transformer
+        from xgblora.tasks import gen_sequence_dataset
+
+        train = gen_sequence_dataset("parity", seq_len=4, n=32, seed=0)
+
+        def builder():
+            return build_transformer(vocab=2, d_model=8, n_layers=2, n_heads=2, d_ff=16,
+                                     rng=Rng(1), max_seq=4)
+
+        def sweep(eta_grid):
+            return probes.kappa_sweep(train, builder, total_steps=1, kappa_grid=(1,), seeds=(0,),
+                                      eta_grid=eta_grid, batch_size=8)
+
+        with pytest.raises(FloatingPointError, match="kappa=1"):
+            sweep((1e300,))  # one step at 1e300 leaves a NaN train loss
+        assert sweep((1e300, 0.5)).point(kappa=1).extras["eta"] == [0.5]
+
+    def test_expressiveness_sweep_skips_a_nan_candidate(self, rotation_teacher, monkeypatch):
+        data, task = rotation_teacher
+        real = probes.loss_eval
+
+        def nan_on_overflow(model, data):
+            # the teacher's loss overflows to inf; read it as the NaN a
+            # transformer's softmax gives
+            value = real(model, data)
+            return value if np.isfinite(value) else float("nan")
+
+        monkeypatch.setattr(probes, "loss_eval", nan_on_overflow)
+        rep = expressiveness_sweep(task, data, total_steps=1, rt_grid=[(1, 1)], seeds=range(2),
+                                   eta_grid=(1e300, 0.5), batch_size=16, heldout_n=64)
+        assert rep.point(r=1, t=1).extras["eta"] == [0.5, 0.5]
 
 
 class TestProbeReport:
