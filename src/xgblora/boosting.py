@@ -3,9 +3,15 @@
 The main loop: for each of T iterations, sample a layer subset, initialize
 a fresh rank-r adapter set on it, train the adapters alone for kappa SGD
 steps, then merge them into the base weights and discard them. Plain LoRA
-is the one-iteration special case (T=1, kappa=K, all layers); full
-fine-tuning and a classic residual-fitting gradient-boosting reference
-live here too, plus the analytic cost model.
+is the one-iteration special case (T=1, kappa=K, all layers; see
+`lora_config`).
+
+A `BoostConfig` holds the validated schedule and hyperparameters that
+every boosting loop reads. `BoostRun` holds a run's state (`start`,
+`resume`, `save`), and `boost_step` is the one function that advances
+it, to a given absolute step or to the end; `xgblora_fit` runs a fresh
+run from start to end. Full fine-tuning, a classic residual-fitting
+gradient-boosting reference and the analytic cost model live here too.
 """
 
 from __future__ import annotations
@@ -52,8 +58,6 @@ class BoostConfig:
     batch_size: int = 16
     seed: int = 0
     policy: str = "qv"
-    include_embedding: bool = False
-    alpha: float = 1.0
     record_merge_loss: bool = True
 
     def __post_init__(self):
@@ -86,8 +90,8 @@ class BoostConfig:
             raise ConfigError(f"rank must be >= 1, got {self.rank}")
         if self.sample_layers < 1:
             raise ConfigError(f"sample_layers must be >= 1, got {self.sample_layers}")
-        if self.lam < 0:
-            raise ConfigError(f"lam must be >= 0, got {self.lam}")
+        if not (np.isfinite(self.lam) and self.lam >= 0):
+            raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
         check_sgd(self.eta, self.batch_size)
         if self.policy not in ("qv", "all"):
             raise ConfigError(f"policy must be qv or all, got {self.policy!r}")
@@ -95,8 +99,8 @@ class BoostConfig:
 
 def check_sgd(eta: float, batch_size: int):
     """The step-size and batch-size checks every training loop shares."""
-    if eta < 0:
-        raise ConfigError(f"eta must be >= 0, got {eta}")
+    if not (np.isfinite(eta) and eta >= 0):
+        raise ConfigError(f"eta must be finite and >= 0, got {eta}")
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
 
@@ -184,35 +188,33 @@ def train_booster(
     model: ModelSpec,
     adapters: AdapterSet,
     data: Dataset,
-    kappa: int,
-    lam: float,
-    eta: float,
-    batch_size: int,
+    cfg: BoostConfig,
     rng: Rng,
     trace: Optional[BoosterTrace] = None,
     max_steps: Optional[int] = None,
 ) -> BoosterTrace:
-    """Exactly kappa SGD steps on the adapter matrices; the base weights
-    stay frozen. Resumable: pass the partial trace back in and training
-    continues from trace.steps. Records per-step batch losses and per-pair
-    gradient statistics; final norms are stamped when the booster completes.
+    """Exactly kappa = cfg.steps_per_booster SGD steps on the adapter
+    matrices, at cfg's eta, lam and batch size; the base weights stay
+    frozen. Resumable: pass the partial trace back in and training
+    continues from trace.steps (at most max_steps more). Records per-step
+    batch losses and per-pair gradient statistics; final norms are stamped
+    when the booster completes.
     """
     adapters.check_live()
-    if kappa < 1:
-        raise ConfigError(f"kappa must be >= 1, got {kappa}")
     if trace is None:
         trace = BoosterTrace.for_adapters(adapters)
     params = adapters.trainable_params()
     a_init = {str(wid): pair.a_init for wid, pair in adapters.pairs.items()}
 
+    kappa = cfg.steps_per_booster
     todo = kappa - trace.steps
     if max_steps is not None:
         todo = min(todo, max_steps)
     for _ in range(todo):
-        idx = rng.randint_array(data.n, batch_size)
+        idx = rng.randint_array(data.n, cfg.batch_size)
         batch = data.batch(idx)
         collect = {}
-        loss = batch_loss(model, batch, adapters=adapters, lam=lam, collect=collect)
+        loss = batch_loss(model, batch, adapters=adapters, lam=cfg.lam, collect=collect)
         loss.backward()
         for wid, pair in adapters.pairs.items():
             ps = trace.pair_stats[str(wid)]
@@ -222,7 +224,7 @@ def train_booster(
             eff = collect.get(wid)
             if eff is not None and eff.grad is not None:
                 ps.grad_eff_max = max(ps.grad_eff_max, frobenius_norm(eff.grad))
-        sgd_step(params, eta)
+        sgd_step(params, cfg.eta)
         value = loss.item()
         if not np.isfinite(value):
             raise FloatingPointError(
@@ -296,49 +298,28 @@ def check_resume(what: str, ours: dict, stored: dict):
         raise ConfigError(f"a resume must use the run's own {what}; differs: " + ", ".join(differ))
 
 
-def _booster_targets(model: ModelSpec, cfg: BoostConfig, layers: list[int]):
-    adaptable = list_adaptable_weights(
-        model, policy=cfg.policy, include_embedding=cfg.include_embedding
-    )
-    chosen = set(layers)
-    return [wid for wid in adaptable if wid.layer in chosen]
-
-
-def boost_step(run: BoostRun, max_steps: Optional[int] = None, on_merge: Optional[Callable] = None) -> int:
-    """Advance the run by at most max_steps optimizer steps (None = to the
-    end). Returns the number of steps executed. Merges happen whenever a
-    booster completes; base weights change only at merges."""
+def boost_step(run: BoostRun, stop_after_step: Optional[int] = None,
+               on_merge: Optional[Callable] = None) -> int:
+    """Advance the run until its global step reaches stop_after_step (an
+    absolute step; None = to the end) and return the number of steps
+    executed. A booster is merged as soon as its last step is taken, so a
+    pause on a booster boundary leaves no live adapters; base weights
+    change only at merges."""
     cfg = run.cfg
     model = run.model
-    executed = 0
-    while not run.done:
-        if max_steps is not None and executed >= max_steps:
-            break
+    start = run.global_step
+    while not run.done and (stop_after_step is None or run.global_step < stop_after_step):
         if run.adapters is None:
-            layers = select_layers(run.rng, model.layers, min(cfg.sample_layers, model.layers))
-            targets = _booster_targets(model, cfg, layers)
-            run.adapters = init_adapter_set(
-                model, targets, cfg.rank, run.rng, booster_index=run.booster, alpha=cfg.alpha
-            )
+            layers = set(select_layers(run.rng, model.layers, min(cfg.sample_layers, model.layers)))
+            targets = [wid for wid in list_adaptable_weights(model, policy=cfg.policy) if wid.layer in layers]
+            run.adapters = init_adapter_set(model, targets, cfg.rank, run.rng, booster_index=run.booster)
             run.trace = BoosterTrace.for_adapters(run.adapters)
-        budget = None if max_steps is None else max_steps - executed
+        budget = None if stop_after_step is None else stop_after_step - run.global_step
         before = run.trace.steps
-        train_booster(
-            model,
-            run.adapters,
-            run.data,
-            cfg.steps_per_booster,
-            cfg.lam,
-            cfg.eta,
-            cfg.batch_size,
-            run.rng,
-            trace=run.trace,
-            max_steps=budget,
-        )
-        executed += run.trace.steps - before
+        train_booster(model, run.adapters, run.data, cfg, run.rng, trace=run.trace, max_steps=budget)
         run.global_step += run.trace.steps - before
         if run.trace.steps < cfg.steps_per_booster:
-            break  # budget exhausted mid-booster
+            break  # paused mid-booster
         if cfg.record_merge_loss:
             run.trace.pre_merge_loss = loss_eval(model, run.data, run.adapters, lam=0.0)
         merge_adapters(model, run.adapters)
@@ -350,7 +331,7 @@ def boost_step(run: BoostRun, max_steps: Optional[int] = None, on_merge: Optiona
         run.adapters = None
         run.trace = None
         run.booster += 1
-    return executed
+    return run.global_step - start
 
 
 def xgblora_fit(
@@ -358,35 +339,12 @@ def xgblora_fit(
     data: Dataset,
     cfg: BoostConfig,
     on_merge: Optional[Callable] = None,
-    stop_after_step: Optional[int] = None,
-    run: Optional[BoostRun] = None,
 ) -> tuple[ModelSpec, list[BoosterTrace]]:
-    """Run the boosting loop to completion (or to stop_after_step, in which
-    case the returned run can be resumed via the `run` argument)."""
-    if run is None:
-        run = BoostRun.start(model, data, cfg)
-    budget = None if stop_after_step is None else max(stop_after_step - run.global_step, 0)
-    boost_step(run, max_steps=budget, on_merge=on_merge)
+    """Run a fresh boosting run from start to end. To pause and resume,
+    use `BoostRun` with `boost_step`."""
+    run = BoostRun.start(model, data, cfg)
+    boost_step(run, on_merge=on_merge)
     return run.model, run.traces
-
-
-def lora_fit(
-    model: ModelSpec,
-    data: Dataset,
-    rank: int = 8,
-    total_steps: int = 100,
-    lam: float = 0.0,
-    eta: float = 0.05,
-    batch_size: int = 16,
-    seed: int = 0,
-    policy: str = "qv",
-    on_merge: Optional[Callable] = None,
-) -> tuple[ModelSpec, list[BoosterTrace]]:
-    """Plain low-rank adaptation: one booster over all layers for all K
-    steps, merged once at the end."""
-    cfg = lora_config(model, total_steps, rank=rank, lam=lam, eta=eta,
-                      batch_size=batch_size, seed=seed, policy=policy)
-    return xgblora_fit(model, data, cfg, on_merge=on_merge)
 
 
 def lora_config(model: ModelSpec, total_steps: int, **hyper) -> BoostConfig:

@@ -1,7 +1,7 @@
 """Command-line shell: train / gb-demo / probe / sweep / cost-model / report.
 
-Exit codes: 0 success, 1 config or data error, 2 usage error (argparse),
-3 probe assertion failure.
+Exit codes: 0 success, 1 config or data error or a diverged run,
+2 usage error (argparse), 3 probe assertion failure.
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ from xgblora.boosting import (
     BoostRun,
     ConfigError,
     CostModel,
+    boost_step,
     check_resume,
     check_sgd,
     classic_gb_fit,
     cost_model_estimate,
     full_finetune,
     lora_config,
-    xgblora_fit,
 )
 from xgblora.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from xgblora.config import ConfigFileError, RunConfig, load_config, save_config
@@ -168,7 +168,7 @@ def cmd_train(args) -> int:
                     mw.write_step(trace.t, first + i, loss, nbytes)
             mw.write_iteration(trace, run.global_step, nbytes)
 
-        xgblora_fit(model, data, bc, on_merge=on_merge, stop_after_step=args.stop_after_step, run=run)
+        boost_step(run, stop_after_step=args.stop_after_step, on_merge=on_merge)
 
     run.save(ckpt_path)
     status = "done" if run.done else f"paused at step {run.global_step}"
@@ -382,7 +382,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigFileError, ConfigError, CheckpointError, ReportError, ValueError) as exc:
+    except (ConfigFileError, ConfigError, CheckpointError, ReportError, ValueError,
+            FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

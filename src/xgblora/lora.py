@@ -126,7 +126,7 @@ def merge_adapters(model: ModelSpec, adapters: AdapterSet) -> ModelSpec:
     return model
 
 
-def param_count(model: ModelSpec, adapters=None, policy=None, r=None, layers=None, include_embedding=False) -> dict:
+def param_count(model: ModelSpec, adapters=None, policy=None, r=None, layers=None) -> dict:
     """Trainable/total/permille accounting.
 
     Pass an AdapterSet to count its live pairs, or (policy, r[, layers]) to
@@ -142,7 +142,7 @@ def param_count(model: ModelSpec, adapters=None, policy=None, r=None, layers=Non
     elif policy is not None:
         if r is None or r < 1:
             raise ValueError(f"rank must be >= 1, got {r}")
-        targets = list_adaptable_weights(model, policy=policy, include_embedding=include_embedding)
+        targets = list_adaptable_weights(model, policy=policy)
         if layers is not None:
             layers = set(layers)
             targets = [wid for wid in targets if wid.layer in layers]

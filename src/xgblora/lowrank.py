@@ -1,11 +1,11 @@
-"""Hand-rolled dense numerics: truncated SVD, power iteration, small linear
-solves, and non-negative least squares.
+"""Hand-rolled dense numerics: truncated SVD, small linear solves,
+non-negative least squares, and extremal eigenvalues by power iteration.
 
 The SVD is the measurement oracle for rank/truncation claims elsewhere, so
 it is built here from first principles instead of delegating to a library
-decomposition: one-sided Jacobi for matrices up to 512 per side (machine
-precision, all singular values), power iteration with deflation for top-r
-on anything larger. Tolerance 1e-10, at most 1000 sweeps.
+decomposition: one-sided Jacobi on every matrix up to MAX_SIDE per side
+(machine precision, all singular values), rotating the columns of the
+smaller side. Tolerance 1e-10, at most 1000 sweeps.
 """
 
 from __future__ import annotations
@@ -76,44 +76,6 @@ def _jacobi_svd(mx: np.ndarray):
     return u, sigma, v
 
 
-def _power_deflate_svd(mx: np.ndarray, r: int):
-    """Top-r singular triples by power iteration on the gram operator, with
-    rank-one deflation between triples. Deterministic start vectors."""
-    a = mx.astype(np.float64).copy()
-    m, n = a.shape
-    rng = Rng(0xC0FFEE ^ (m * 1031 + n))
-    us, ss, vs = [], [], []
-    for _ in range(r):
-        x = rng.gaussian((min(m, n),))
-        x /= np.sqrt((x * x).sum())
-        tall = m >= n
-        last = 0.0
-        for _ in range(POWER_MAX_ITERS):
-            y = a.T @ (a @ x) if tall else a @ (a.T @ x)
-            lam = float(np.sqrt((y * y).sum()))
-            if lam == 0.0:
-                break
-            x = y / lam
-            if abs(lam - last) <= POWER_TOL * max(lam, 1.0):
-                break
-            last = lam
-        if tall:
-            vvec = x
-            av = a @ vvec
-            sigma = float(np.sqrt((av * av).sum()))
-            uvec = av / sigma if sigma > 0 else np.zeros(m)
-        else:
-            uvec = x
-            atu = a.T @ uvec
-            sigma = float(np.sqrt((atu * atu).sum()))
-            vvec = atu / sigma if sigma > 0 else np.zeros(n)
-        us.append(uvec)
-        ss.append(sigma)
-        vs.append(vvec)
-        a -= sigma * np.outer(uvec, vvec)
-    return np.array(us).T, np.array(ss), np.array(vs).T
-
-
 def svd_topr(mx, r: int) -> TruncatedSvd:
     """Best rank-r factorization of a matrix: U (m,r), non-increasing
     singular values, V (n,r), and the reconstruction U diag(s) Vᵀ.
@@ -130,20 +92,14 @@ def svd_topr(mx, r: int) -> TruncatedSvd:
     if max(m, n) > MAX_SIDE:
         raise ValueError(f"matrix side exceeds {MAX_SIDE}: {mx.shape}")
 
-    if max(m, n) <= 512:
-        work = mx if m >= n else mx.T
-        u, s, v = _jacobi_svd(work)
-        if m < n:
-            u, v = v, u
-        full_sq = float((s * s).sum())
-        head_sq = float((s[:r] * s[:r]).sum())
-        u, s, v = u[:, :r], s[:r], v[:, :r]
-        tail_sq = max(full_sq - head_sq, 0.0)
-    else:
-        u, s, v = _power_deflate_svd(mx, r)
-        total_sq = float((mx * mx).sum())
-        tail_sq = max(total_sq - float((s * s).sum()), 0.0)
-
+    work = mx if m >= n else mx.T
+    u, s, v = _jacobi_svd(work)
+    if m < n:
+        u, v = v, u
+    full_sq = float((s * s).sum())
+    head_sq = float((s[:r] * s[:r]).sum())
+    u, s, v = u[:, :r], s[:r], v[:, :r]
+    tail_sq = max(full_sq - head_sq, 0.0)
     approx = (u * s) @ v.T
     return TruncatedSvd(u=u, s=s, v=v, approx=approx, tail_sq=tail_sq)
 

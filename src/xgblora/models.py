@@ -256,13 +256,13 @@ def build_transformer(
     )
 
 
-def list_adaptable_weights(model: ModelSpec, policy="qv", include_embedding=False) -> list[WeightId]:
+def list_adaptable_weights(model: ModelSpec, policy="qv") -> list[WeightId]:
     """Deterministic (layer-major, role-minor) list of adapter targets.
 
     policy "qv" restricts transformer blocks to the attention query/value
     matrices; "all" widens to all six per-block matrices. Embedding and
-    output head are excluded unless include_embedding is set. MLPs expose
-    every dense matrix regardless of policy.
+    output head are never adapted. MLPs expose every dense matrix
+    regardless of policy.
     """
     if policy not in ("qv", "all"):
         raise ValueError(f"unknown adapt policy {policy!r}")
@@ -275,12 +275,6 @@ def list_adaptable_weights(model: ModelSpec, policy="qv", include_embedding=Fals
             else (Role.ATTN_Q, Role.ATTN_K, Role.ATTN_V, Role.ATTN_O, Role.FFN_UP, Role.FFN_DOWN)
         )
         ids = [wid for wid in model.weights if wid.role in block_roles]
-        if include_embedding:
-            ids += [
-                wid
-                for wid in model.weights
-                if wid.role in (Role.EMBEDDING, Role.OUTPUT)
-            ]
     return sorted(ids, key=sort_key)
 
 

@@ -219,6 +219,8 @@ def gradient_approx_probe(
         for m in m_grid:
             point = GridPoint(params={"r": int(r), "m": int(m)})
             point.extras["floor"] = []
+            cfg = BoostConfig(iterations=1, steps_per_booster=m, rank=r, sample_layers=1, eta=eta,
+                              batch_size=batch_size, record_merge_loss=False)
             for i, seed in enumerate(seeds):
                 model = task.make_student()
                 # common random numbers across the M grid: the same seed
@@ -226,8 +228,7 @@ def gradient_approx_probe(
                 # isolates minibatch averaging from subspace luck
                 rng = Rng(seed * 1_000_003 + 7919 * r)
                 adapters = init_adapter_set(model, [wid], r, rng, booster_index=1)
-                train_booster(model, adapters, data, kappa=m, lam=0.0, eta=eta,
-                              batch_size=batch_size, rng=rng)
+                train_booster(model, adapters, data, cfg, rng)
                 g_full = _full_batch_effective_grad(model, data, adapters, wid)
                 pair = adapters.pairs[wid]
                 a = pair.a.data
@@ -333,7 +334,6 @@ def update_norm_probe(traces_with_eta) -> ProbeReport:
 class LipschitzEstimate:
     value: float
     running_max: list[float]
-    best_pair: tuple
 
     def as_report(self) -> ProbeReport:
         report = ProbeReport(probe="lipschitz")
@@ -366,7 +366,6 @@ def lipschitz_probe(
     if center is None:
         center = np.zeros(shape)
     best = 0.0
-    best_pair = (None, None)
     running = []
     for i in range(n_pairs):
         if i % 2 == 0:
@@ -384,11 +383,9 @@ def lipschitz_probe(
             continue
         dg = frobenius_norm(grad_fn(w1) - grad_fn(w2))
         ratio = dg / dw
-        if ratio > best:
-            best = ratio
-            best_pair = (w1, w2)
+        best = max(best, ratio)
         running.append(best)
-    return LipschitzEstimate(value=best, running_max=running, best_pair=best_pair)
+    return LipschitzEstimate(value=best, running_max=running)
 
 
 def model_grad_fn(model: ModelSpec, data: Dataset, wid: WeightId) -> Callable:

@@ -348,11 +348,6 @@ def tsum(t: Tensor, axis=None, keepdims=False) -> Tensor:
     return out
 
 
-def tmean(t: Tensor) -> Tensor:
-    n = t.data.size
-    return scale(tsum(t), 1.0 / n)
-
-
 def mse(pred: Tensor, target) -> Tensor:
     """Mean over all elements of (pred − target)²."""
     tgt = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=pred.dtype)

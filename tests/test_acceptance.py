@@ -17,9 +17,10 @@ from xgblora.boosting import (
     BoostConfig,
     BoostRun,
     CostModel,
+    boost_step,
     classic_gb_fit,
     cost_model_estimate,
-    lora_fit,
+    lora_config,
     xgblora_fit,
 )
 from xgblora.checkpoint import load_checkpoint, save_checkpoint
@@ -195,7 +196,7 @@ class TestCriterion03LoraReduction:
         cfg = BoostConfig(iterations=1, steps_per_booster=k, rank=4,
                           sample_layers=model_a.layers, eta=0.3, batch_size=8, seed=77)
         xgblora_fit(model_a, data, cfg)
-        lora_fit(model_b, data, rank=4, total_steps=k, eta=0.3, batch_size=8, seed=77)
+        xgblora_fit(model_b, data, lora_config(model_b, k, rank=4, eta=0.3, batch_size=8, seed=77))
         for wid in model_a.weights:
             assert np.array_equal(model_a.weights[wid].data, model_b.weights[wid].data)
         took = time.monotonic() - started
@@ -440,12 +441,12 @@ class TestCriterion13OperationalShell:
         xgblora_fit(ref, data, cfg)
         part = task.make_student()
         run = BoostRun.start(part, data, cfg)
-        xgblora_fit(part, data, cfg, stop_after_step=7, run=run)
+        boost_step(run, stop_after_step=7)
         mid = tmp_path / "mid.xgbl"
         run.save(mid)
         state = load_checkpoint(mid)
         resumed = BoostRun.resume(state, data, cfg)
-        xgblora_fit(state.model, data, cfg, run=resumed)
+        boost_step(resumed)
         for wid in ref.weights:
             assert np.array_equal(ref.weights[wid].data, state.model.weights[wid].data)
 

@@ -16,7 +16,7 @@ from xgblora.boosting import (
     classic_gb_fit,
     cost_model_estimate,
     full_finetune,
-    lora_fit,
+    lora_config,
     select_layers,
     train_booster,
     xgblora_fit,
@@ -56,10 +56,12 @@ class TestBoostConfig:
     def test_field_bounds(self):
         with pytest.raises(ConfigError):
             BoostConfig(iterations=1, steps_per_booster=8, rank=0)
-        with pytest.raises(ConfigError):
-            BoostConfig(iterations=1, steps_per_booster=8, lam=-1)
-        with pytest.raises(ConfigError):
-            BoostConfig(iterations=1, steps_per_booster=8, eta=-0.1)
+        for bad in (-1, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="lam"):
+                BoostConfig(iterations=1, steps_per_booster=8, lam=bad)
+        for bad in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="eta"):
+                BoostConfig(iterations=1, steps_per_booster=8, eta=bad)
 
     def test_paper_defaults(self):
         cfg = BoostConfig(iterations=4, steps_per_booster=8)
@@ -105,12 +107,17 @@ def quadratic_setup(seed=0, dims=(8, 8), n=64):
     return task.make_student(), data
 
 
+def booster_cfg(kappa, eta, batch_size, lam=0.0):
+    """The one-booster BoostConfig train_booster reads kappa, lam, eta and batch size from."""
+    return BoostConfig(iterations=1, steps_per_booster=kappa, lam=lam, eta=eta, batch_size=batch_size)
+
+
 class TestTrainBooster:
     def test_eta_zero_leaves_adapters_unchanged(self):
         model, data = quadratic_setup()
         adapters = init_adapter_set(model, mz.list_adaptable_weights(model), r=2, rng=Rng(5))
         a_before = {wid: p.a.data.copy() for wid, p in adapters.pairs.items()}
-        train_booster(model, adapters, data, kappa=5, lam=0.0, eta=0.0, batch_size=8, rng=Rng(9))
+        train_booster(model, adapters, data, booster_cfg(5, 0.0, 8), rng=Rng(9))
         for wid, pair in adapters.pairs.items():
             assert np.array_equal(pair.a.data, a_before[wid])
             assert np.array_equal(pair.b.data, np.zeros_like(pair.b.data))
@@ -119,7 +126,7 @@ class TestTrainBooster:
     def test_loss_decreases_on_quadratic(self):
         model, data = quadratic_setup(seed=3)
         adapters = init_adapter_set(model, mz.list_adaptable_weights(model), r=4, rng=Rng(5))
-        trace = train_booster(model, adapters, data, kappa=50, lam=0.0, eta=0.5, batch_size=32, rng=Rng(9))
+        trace = train_booster(model, adapters, data, booster_cfg(50, 0.5, 32), rng=Rng(9))
         assert trace.step_losses[-1] < trace.step_losses[0]
         assert mz.loss_eval(model, data, adapters) < mz.loss_eval(model, data)
 
@@ -127,14 +134,14 @@ class TestTrainBooster:
         model, data = quadratic_setup(seed=3)
         adapters = init_adapter_set(model, mz.list_adaptable_weights(model), r=4, rng=Rng(5))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError):
-            train_booster(model, adapters, data, kappa=80, lam=0.0, eta=10.0, batch_size=32, rng=Rng(9))
+            train_booster(model, adapters, data, booster_cfg(80, 10.0, 32), rng=Rng(9))
 
     def test_update_norm_bound_holds(self):
         """|A - A0|_F <= eta * kappa * G with G the max applied-gradient norm."""
         model, data = quadratic_setup(seed=4)
         adapters = init_adapter_set(model, mz.list_adaptable_weights(model), r=2, rng=Rng(6))
         eta, kappa = 0.05, 12
-        trace = train_booster(model, adapters, data, kappa=kappa, lam=0.0, eta=eta, batch_size=16, rng=Rng(7))
+        trace = train_booster(model, adapters, data, booster_cfg(kappa, eta, 16), rng=Rng(7))
         for ps in trace.pair_stats.values():
             bound = eta * kappa * ps.grad_max
             assert ps.a_update_norm <= bound * (1 + 1e-9)
@@ -146,13 +153,13 @@ class TestTrainBooster:
         adapters = init_adapter_set(model, mz.list_adaptable_weights(model), r=1, rng=Rng(5))
         merge_adapters(model, adapters)
         with pytest.raises(AdapterError):
-            train_booster(model, adapters, data, kappa=1, lam=0.0, eta=0.1, batch_size=4, rng=Rng(1))
+            train_booster(model, adapters, data, booster_cfg(1, 0.1, 4), rng=Rng(1))
 
     def test_base_weights_bitwise_frozen(self):
         model, data = quadratic_setup(seed=8)
         snapshot = {wid: w.data.copy() for wid, w in model.weights.items()}
         adapters = init_adapter_set(model, mz.list_adaptable_weights(model), r=2, rng=Rng(5))
-        train_booster(model, adapters, data, kappa=20, lam=0.1, eta=0.1, batch_size=8, rng=Rng(2))
+        train_booster(model, adapters, data, booster_cfg(20, 0.1, 8, lam=0.1), rng=Rng(2))
         for wid in snapshot:
             assert np.array_equal(model.weights[wid].data, snapshot[wid])
 
@@ -160,9 +167,9 @@ class TestTrainBooster:
         model, data = quadratic_setup(seed=1)
         adapters = init_adapter_set(model, mz.list_adaptable_weights(model), r=1, rng=Rng(3))
         rng = Rng(11)
-        trace = train_booster(model, adapters, data, kappa=10, lam=0.0, eta=0.05, batch_size=8, rng=rng, max_steps=4)
+        trace = train_booster(model, adapters, data, booster_cfg(10, 0.05, 8), rng=rng, max_steps=4)
         assert trace.steps == 4
-        train_booster(model, adapters, data, kappa=10, lam=0.0, eta=0.05, batch_size=8, rng=rng, trace=trace)
+        train_booster(model, adapters, data, booster_cfg(10, 0.05, 8), rng=rng, trace=trace)
         assert trace.steps == 10
 
 
@@ -185,14 +192,14 @@ class TestXgbLoraFit:
             assert abs(trace.pre_merge_loss - trace.post_merge_loss) / denom <= 1e-12
 
     def test_reduces_to_lora_bit_exactly(self):
-        """T=1, kappa=K, all layers: weight trajectory identical to lora_fit."""
+        """T=1, kappa=K, all layers: weight trajectory identical to a lora_config fit."""
         k = 60
         model_a, data = quadratic_setup(seed=9, dims=(6, 4))
         model_b = model_a.copy()
         cfg = BoostConfig(iterations=1, steps_per_booster=k, rank=3,
                           sample_layers=model_a.layers, eta=0.05, batch_size=8, seed=21)
         xgblora_fit(model_a, data, cfg)
-        lora_fit(model_b, data, rank=3, total_steps=k, eta=0.05, batch_size=8, seed=21)
+        xgblora_fit(model_b, data, lora_config(model_b, k, rank=3, eta=0.05, batch_size=8, seed=21))
         for wid in model_a.weights:
             assert np.array_equal(model_a.weights[wid].data, model_b.weights[wid].data)
 
@@ -208,17 +215,28 @@ class TestXgbLoraFit:
 
     def test_interrupt_and_resume_bitwise(self):
         model_a, data = quadratic_setup(seed=6, dims=(6, 6))
-        model_b = model_a.copy()
+        model_b, model_c = model_a.copy(), model_a.copy()
         cfg = BoostConfig(iterations=4, steps_per_booster=5, rank=2, sample_layers=1,
                           eta=0.05, batch_size=8, seed=13)
         xgblora_fit(model_a, data, cfg)
 
         run = bb.BoostRun.start(model_b, data, cfg)
-        xgblora_fit(model_b, data, cfg, stop_after_step=7, run=run)  # mid-booster
+        assert bb.boost_step(run, stop_after_step=7) == 7  # mid-booster
         assert run.global_step == 7
-        xgblora_fit(model_b, data, cfg, run=run)
+        bb.boost_step(run)
         for wid in model_a.weights:
             assert np.array_equal(model_a.weights[wid].data, model_b.weights[wid].data)
+
+        # a pause on a booster boundary merges that booster; a repeated
+        # stop at the current step executes nothing
+        run = bb.BoostRun.start(model_c, data, cfg)
+        assert bb.boost_step(run, stop_after_step=5) == 5
+        assert run.adapters is None and run.booster == 2
+        assert bb.boost_step(run, stop_after_step=5) == 0
+        assert run.global_step == 5 and run.adapters is None and run.booster == 2
+        bb.boost_step(run)
+        for wid in model_a.weights:
+            assert np.array_equal(model_a.weights[wid].data, model_c.weights[wid].data)
 
     def test_fresh_subset_each_iteration(self):
         model, data = quadratic_setup(seed=2, dims=(8, 8))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from xgblora import models as mz
-from xgblora.boosting import BoostConfig, BoostRun, ConfigError, xgblora_fit
+from xgblora.boosting import BoostConfig, BoostRun, ConfigError, boost_step, xgblora_fit
 from xgblora.checkpoint import (
     BadMagic,
     CheckpointError,
@@ -172,13 +172,13 @@ class TestResume:
 
         model = task.make_student()
         run = BoostRun.start(model, data, cfg)
-        xgblora_fit(model, data, cfg, stop_after_step=7, run=run)
+        boost_step(run, stop_after_step=7)
         path = tmp_path / "mid.xgbl"
         run.save(path)
 
         state = load_checkpoint(path)
         resumed = BoostRun.resume(state, data, cfg)
-        xgblora_fit(state.model, data, cfg, run=resumed)
+        boost_step(resumed)
         for wid in ref.weights:
             assert np.array_equal(ref.weights[wid].data, state.model.weights[wid].data)
 
@@ -187,7 +187,7 @@ class TestResume:
         cfg = BoostConfig(iterations=4, steps_per_booster=5, rank=2, sample_layers=1,
                           eta=0.4, batch_size=8, seed=13)
         run = BoostRun.start(task.make_student(), data, cfg)
-        xgblora_fit(run.model, data, cfg, stop_after_step=7, run=run)
+        boost_step(run, stop_after_step=7)
         run.save(tmp_path / "mid.xgbl")
         state = load_checkpoint(tmp_path / "mid.xgbl")
         other = BoostConfig(total_steps=20, steps_per_booster=10, rank=2, sample_layers=1,
@@ -209,7 +209,7 @@ class TestResume:
         cfg = BoostConfig(iterations=4, steps_per_booster=5, rank=2, sample_layers=1,
                           eta=0.4, batch_size=8, seed=13)
         run = BoostRun.start(task.make_student(), data, cfg)
-        xgblora_fit(run.model, data, cfg, stop_after_step=7, run=run)
+        boost_step(run, stop_after_step=7)
         run.save(tmp_path / "mid.xgbl")
         state = load_checkpoint(tmp_path / "mid.xgbl")
         assert state.data_sha256 == data.sha256() != more.sha256()
@@ -224,12 +224,12 @@ class TestResume:
                           eta=0.4, batch_size=8, seed=13)
         _, ref = xgblora_fit(task.make_student(), data, cfg)
         run = BoostRun.start(task.make_student(), data, cfg)
-        xgblora_fit(run.model, data, cfg, stop_after_step=3, run=run)
+        boost_step(run, stop_after_step=3)
         run.save(tmp_path / "mid.xgbl")
         resumed = BoostRun.resume(load_checkpoint(tmp_path / "mid.xgbl"), data, cfg)
         assert resumed.trace.steps == 3
-        _, traces = xgblora_fit(resumed.model, data, cfg, run=resumed)
-        assert traces == ref
+        boost_step(resumed)
+        assert resumed.traces == ref
 
 
 class TestReporting:
@@ -332,6 +332,20 @@ class TestCli:
         assert not (tmp_path / "ft").exists()
         assert main(["train", "--method", "full-ft", "-K", "0", "--seed", "1",
                      "--out-dir", str(tmp_path / "ft0")]) == 1
+        for flag, value in (("--eta", "nan"), ("--eta", "inf"), ("--lam", "nan")):
+            out = tmp_path / f"nonfinite{flag}{value}"
+            assert main(["train", flag, value, "--seed", "1", "-K", "16", "--out-dir", str(out)]) == 1
+            assert not out.exists()
+
+    def test_train_divergence_exits_1(self, tmp_path, capsys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["train", "--seed", "5", "--task", "teacher-matrix", "--dims", "6,6",
+                       "--n-examples", "32", "-T", "4", "--kappa", "5", "--eta", "1e6",
+                       "--out-dir", str(tmp_path / "div")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error:" in err and "diverged" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("flag", [["--resume", "x.xgbl"], ["--stop-after-step", "4"]])
     def test_full_ft_rejects_resume_flags(self, tmp_path, capsys, flag):

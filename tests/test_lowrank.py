@@ -62,7 +62,7 @@ class TestSvdTopr:
         with pytest.raises(ValueError):
             lr.svd_topr(m, r=4)
 
-    def test_power_deflation_path_for_large_sides(self):
+    def test_tall_matrix(self):
         m = Rng(21).gaussian((600, 12))
         got = lr.svd_topr(m, r=3)
         s_np = np.linalg.svd(m, compute_uv=False)

@@ -60,12 +60,6 @@ class TestBuildTransformer:
         assert len(ids) == 6
         assert {w.role for w in ids} == {Role.ATTN_Q, Role.ATTN_V}
 
-    def test_include_embedding_toggle(self):
-        m = build_transformer(vocab=5, d_model=8, n_layers=1, n_heads=2, d_ff=16, rng=Rng(3))
-        ids = mz.list_adaptable_weights(m, include_embedding=True)
-        roles = {w.role for w in ids}
-        assert Role.EMBEDDING in roles and Role.OUTPUT in roles
-
     def test_logits_shape(self):
         m = build_transformer(vocab=11, d_model=8, n_layers=2, n_heads=2, d_ff=16, rng=Rng(3))
         ids = np.zeros((2, 5), dtype=np.int64)
