@@ -135,25 +135,17 @@ def gen_sequence_dataset(task: str, seq_len: int, n: int, seed: int = 0, vocab: 
         raise ValueError(f"dataset size must be >= 1, got {n}")
     rng = Rng(seed)
     if task == "parity":
-        seqs = np.zeros((n, seq_len), dtype=np.int64)
-        labels = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            want = i % 2  # exact balance up to one example
-            bits = np.array([rng.randint(2) for _ in range(seq_len - 1)], dtype=np.int64)
-            last = (want - int(bits.sum())) % 2
-            seqs[i, : seq_len - 1] = bits
-            seqs[i, seq_len - 1] = last
-            labels[i] = want
+        # row i's label is i % 2 (exact balance up to one example); the
+        # final token is the one that makes the XOR of the row equal it
+        bits = rng.randint_array(2, n * (seq_len - 1)).reshape(n, seq_len - 1)
+        labels = np.arange(n, dtype=np.int64) % 2
+        last = (labels - bits.sum(axis=1)) % 2
+        seqs = np.concatenate([bits, last[:, None]], axis=1)
         return Dataset(seqs, labels)
 
-    seqs = np.zeros((n, seq_len), dtype=np.int64)
-    labels = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        first = i % vocab
-        rest = np.array([rng.randint(vocab) for _ in range(seq_len - 1)], dtype=np.int64)
-        seqs[i, 0] = first
-        seqs[i, 1:] = rest
-        labels[i] = first
+    rest = rng.randint_array(vocab, n * (seq_len - 1)).reshape(n, seq_len - 1)
+    labels = np.arange(n, dtype=np.int64) % vocab
+    seqs = np.concatenate([labels[:, None], rest], axis=1)
     return Dataset(seqs, labels)
 
 

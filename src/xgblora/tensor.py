@@ -505,7 +505,21 @@ class Rng:
         return (self.next_u64() * n) >> 64
 
     def randint_array(self, n: int, size: int) -> np.ndarray:
-        return np.array([self.randint(n) for _ in range(size)], dtype=np.int64)
+        """`size` uniform integers in [0, n), for 1 <= n < 2**32.
+
+        One multiply-shift (u * n) >> 64 over `_raw(size)`: the same stream,
+        and the same final state, as `size` calls of `randint(n)`. The high
+        word is built from 32-bit halves of u, so no uint64 product or sum
+        overflows.
+        """
+        if n <= 0:
+            raise ValueError(f"randint_array needs n >= 1, got {n}")
+        if n >= 1 << 32:
+            raise ValueError(f"randint_array needs n < 2**32, got {n}")
+        u = self._raw(size)
+        n64 = np.uint64(n)
+        low = ((u & np.uint64(0xFFFFFFFF)) * n64) >> np.uint64(32)
+        return (((u >> np.uint64(32)) * n64 + low) >> np.uint64(32)).astype(np.int64)
 
     def split(self) -> "Rng":
         """Child generator seeded from one draw of this stream."""

@@ -70,6 +70,16 @@ class TestSvdTopr:
         err_sq = ((m - got.approx) ** 2).sum()
         assert err_sq == pytest.approx((s_np[3:] ** 2).sum(), rel=1e-6)
 
+    def test_smaller_side_limit_refused_at_once(self, monkeypatch):
+        def no_work(_):
+            raise AssertionError("Jacobi ran on a refused matrix")
+
+        monkeypatch.setattr(lr, "_jacobi_svd", no_work)
+        with pytest.raises(ValueError, match=r"256.*\(300, 300\)"):
+            lr.svd_topr(np.zeros((300, 300)), r=1)
+        with pytest.raises(ValueError, match="256"):
+            lr.singular_values(np.zeros((300, 300)))
+
     def test_determinism(self):
         m = Rng(3).gaussian((700, 9))
         a = lr.svd_topr(m, r=2)

@@ -81,6 +81,12 @@ class TestSequenceDataset:
         b = gen_sequence_dataset("parity", seq_len=7, n=64, seed=11)
         assert np.array_equal(a.inputs, b.inputs)
 
+    def test_pinned_digests(self):
+        parity = gen_sequence_dataset("parity", seq_len=4, n=256, seed=0)
+        copy = gen_sequence_dataset("copy", seq_len=5, n=100, seed=3, vocab=7)
+        assert parity.sha256() == "ed79b44abe46625a124439392fe0416b33c64189415cac1fb4d6c0815f7c2674"
+        assert copy.sha256() == "78c787407b4651077d48c0d0e6ea92c295defb0951266bf04617431e5c6f6fa4"
+
 
 class TestParityCalibration:
     def test_full_finetune_learns_desk_parity(self):

@@ -318,6 +318,21 @@ class TestRng:
         assert min(draws) >= 0 and max(draws) <= 9
         assert len(set(draws)) == 10
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 128, (1 << 32) - 1])
+    @pytest.mark.parametrize("size", [0, 1, 200])
+    def test_randint_array_is_the_scalar_stream(self, n, size):
+        for seed in (0, 1, 11, 0xDEADBEEF, (1 << 64) - 1):
+            batched, scalar = Rng(seed), Rng(seed)
+            got = batched.randint_array(n, size)
+            assert got.dtype == np.int64
+            assert got.tolist() == [scalar.randint(n) for _ in range(size)]
+            assert batched.state == scalar.state
+
+    def test_randint_array_bounds_on_n(self):
+        for n in (0, 1 << 32):
+            with pytest.raises(ValueError, match=f"got {n}$"):
+                Rng(0).randint_array(n, 4)
+
     @given(st.integers(min_value=0, max_value=(1 << 64) - 1))
     @settings(max_examples=25, deadline=None)
     def test_any_seed_reproducible(self, seed):
