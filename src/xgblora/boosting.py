@@ -58,7 +58,7 @@ class BoostConfig:
     batch_size: int = 16
     seed: int = 0
     policy: str = "qv"
-    record_merge_loss: bool = True
+    record_merge_loss: bool = False  # trace pre/post-merge full-data loss: two forwards per booster
 
     def __post_init__(self):
         self.validate()
@@ -115,7 +115,6 @@ class PairStats:
     a_update_norm: float = 0.0
     b_update_norm: float = 0.0
     grad_max: float = 0.0  # max over steps of max(|dL/dA|_F, |dL/dB|_F)
-    grad_eff_max: float = 0.0  # max over steps of |dL/dW_eff|_F
 
 
 @dataclass
@@ -213,17 +212,13 @@ def train_booster(
     for _ in range(todo):
         idx = rng.randint_array(data.n, cfg.batch_size)
         batch = data.batch(idx)
-        collect = {}
-        loss = batch_loss(model, batch, adapters=adapters, lam=cfg.lam, collect=collect)
+        loss = batch_loss(model, batch, adapters=adapters, lam=cfg.lam)
         loss.backward()
         for wid, pair in adapters.pairs.items():
             ps = trace.pair_stats[str(wid)]
             ga = frobenius_norm(pair.a.grad) if pair.a.grad is not None else 0.0
             gb = frobenius_norm(pair.b.grad) if pair.b.grad is not None else 0.0
             ps.grad_max = max(ps.grad_max, ga, gb)
-            eff = collect.get(wid)
-            if eff is not None and eff.grad is not None:
-                ps.grad_eff_max = max(ps.grad_eff_max, frobenius_norm(eff.grad))
         sgd_step(params, cfg.eta)
         value = loss.item()
         if not np.isfinite(value):

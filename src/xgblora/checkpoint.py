@@ -6,7 +6,8 @@ atomic (temp file, then rename).
 
 Layout (all integers little-endian):
     magic   4s   "XGBL"
-    version u16  (currently 3; earlier versions are rejected)
+    version u16  (currently 4; earlier versions are rejected. Version 3's
+                 trace statistics carry a grad_eff_max that 4 dropped)
     dtype   u8   0 = f64, 1 = f32
     step    u64  global optimizer step
     booster u32  1-based index of the booster in progress (0 = none)
@@ -40,7 +41,7 @@ from xgblora.lora import AdapterSet, LoraPair
 from xgblora.models import ModelSpec, Role, Tensor, WeightId, sort_key
 
 MAGIC = b"XGBL"
-VERSION = 3
+VERSION = 4
 
 _ROLE_CODES = {role: i for i, role in enumerate(Role)}
 _CODE_ROLES = {i: role for role, i in _ROLE_CODES.items()}

@@ -1,12 +1,19 @@
 """Command-line shell: train / gb-demo / probe / sweep / cost-model / report.
 
+`probe` and `sweep` are the one way to produce the committed experiments:
+`probe all` runs the five bound probes (runs/probes), `sweep rank-iter` the
+rank-vs-iterations trade-off (runs/tradeoff) and `sweep kappa` the parity
+steps-per-booster sweep (runs/kappa). Each writes its ProbeReport through
+`_probe_outputs`.
+
 Exit codes: 0 success, 1 config or data error or a diverged run,
-2 usage error (argparse), 3 probe assertion failure.
+2 usage error (argparse), 3 a probe or sweep check failed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from typing import Optional
@@ -37,6 +44,7 @@ from xgblora.reporting import (
     adapter_update_bytes,
     emit_report,
     model_update_bytes,
+    svg_line_plot,
 )
 from xgblora.tasks import gen_sequence_dataset, gen_teacher_dataset
 from xgblora.tensor import Rng
@@ -138,37 +146,37 @@ def cmd_train(args) -> int:
         run = BoostRun.resume(state, data, bc)
     else:
         run = BoostRun.start(model, data, bc)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    save_config(cfg, os.path.join(cfg.out_dir, "run.cfg"))
     dtype_size = 4 if cfg.precision == "f32" else 8
     run_id = f"{cfg.method}-seed{cfg.seed}"
     metrics_path = os.path.join(cfg.out_dir, "metrics.csv")
     ckpt_path = os.path.join(cfg.out_dir, "checkpoint.xgbl")
 
-    if cfg.method == "full-ft":
-        counts = param_count(model)
-        with MetricsWriter(metrics_path, run_id, counts["permille"]) as mw:
-            model, losses = full_finetune(
-                model, data, total_steps=cfg.total_steps, eta=cfg.eta,
-                batch_size=cfg.batch_size, seed=cfg.seed,
-            )
-            mw.write_step(1, len(losses), losses[-1], model_update_bytes(model, dtype_size))
-        save_checkpoint(ckpt_path, model, step=len(losses))
-        print(f"final loss {loss_eval(model, data):.6g}")
-        return EXIT_OK
+    with _discard_if_diverged(cfg.out_dir, fresh=not args.resume):
+        save_config(cfg, os.path.join(cfg.out_dir, "run.cfg"))
+        if cfg.method == "full-ft":
+            counts = param_count(model)
+            with MetricsWriter(metrics_path, run_id, counts["permille"]) as mw:
+                model, losses = full_finetune(
+                    model, data, total_steps=cfg.total_steps, eta=cfg.eta,
+                    batch_size=cfg.batch_size, seed=cfg.seed,
+                )
+                mw.write_step(1, len(losses), losses[-1], model_update_bytes(model, dtype_size))
+            save_checkpoint(ckpt_path, model, step=len(losses))
+            print(f"final loss {loss_eval(model, data):.6g}")
+            return EXIT_OK
 
-    model = run.model
-    counts = param_count(model, policy=cfg.policy, r=bc.rank)
-    with MetricsWriter(metrics_path, run_id, counts["permille"], append=bool(args.resume)) as mw:
-        def on_merge(trace):
-            nbytes = adapter_update_bytes(run.adapters, dtype_size)
-            if cfg.verbose_metrics:
-                first = run.global_step - len(trace.step_losses) + 1
-                for i, loss in enumerate(trace.step_losses):
-                    mw.write_step(trace.t, first + i, loss, nbytes)
-            mw.write_iteration(trace, run.global_step, nbytes)
+        model = run.model
+        counts = param_count(model, policy=cfg.policy, r=bc.rank)
+        with MetricsWriter(metrics_path, run_id, counts["permille"], append=bool(args.resume)) as mw:
+            def on_merge(trace):
+                nbytes = adapter_update_bytes(run.adapters, dtype_size)
+                if cfg.verbose_metrics:
+                    first = run.global_step - len(trace.step_losses) + 1
+                    for i, loss in enumerate(trace.step_losses):
+                        mw.write_step(trace.t, first + i, loss, nbytes)
+                mw.write_iteration(trace, run.global_step, nbytes)
 
-        boost_step(run, stop_after_step=args.stop_after_step, on_merge=on_merge)
+            boost_step(run, stop_after_step=args.stop_after_step, on_merge=on_merge)
 
     run.save(ckpt_path)
     status = "done" if run.done else f"paused at step {run.global_step}"
@@ -176,6 +184,28 @@ def cmd_train(args) -> int:
     if model.output_map == "softmax-ce":
         print(f"train accuracy {accuracy(model, data):.4f}")
     return EXIT_OK
+
+
+@contextlib.contextmanager
+def _discard_if_diverged(out_dir, fresh: bool):
+    """Make out_dir for a training run. When a fresh (not resumed) run
+    diverges, remove its run.cfg and metrics.csv and the directories made
+    here, so nothing is left that looks like a resumable run."""
+    made, d = [], os.path.abspath(out_dir)
+    while not os.path.exists(d):
+        made.append(d)
+        d = os.path.dirname(d)
+    os.makedirs(out_dir, exist_ok=True)
+    try:
+        yield
+    except FloatingPointError:
+        if fresh:
+            for name in ("run.cfg", "metrics.csv"):
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(os.path.join(out_dir, name))
+            for d in made:
+                os.rmdir(d)
+        raise
 
 
 def cmd_gb_demo(args) -> int:
@@ -192,31 +222,58 @@ def cmd_gb_demo(args) -> int:
     return EXIT_OK
 
 
-def _probe_outputs(report, out_dir):
+def _probe_outputs(report, out_dir, svg: Optional[str] = None) -> int:
+    """The one writer of a ProbeReport: {probe}.csv and .json (and .svg
+    when given) into out_dir, its checks and notes printed. Returns exit 3
+    when a check failed."""
     os.makedirs(out_dir, exist_ok=True)
     report.write_csv(os.path.join(out_dir, f"{report.probe}.csv"))
     report.write_json(os.path.join(out_dir, f"{report.probe}.json"))
+    written = [f"{report.probe}.csv", f"{report.probe}.json"]
+    if svg is not None:
+        written.append(f"{report.probe}.svg")
+        with open(os.path.join(out_dir, written[-1]), "w", encoding="utf-8") as fh:
+            fh.write(svg)
     for name, ok in sorted(report.checks.items()):
         print(f"[{'pass' if ok else 'FAIL'}] {name}")
     for note in report.notes:
         print(f"note: {note}")
-    print(f"wrote {report.probe}.csv / {report.probe}.json to {out_dir}")
+    print(f"wrote {' / '.join(written)} to {out_dir}")
     return EXIT_OK if report.passed else EXIT_PROBE_FAILED
 
 
+def _rotation_teacher(seed: int):
+    """The 16x16 rotation teacher of `probe theorem2` and `sweep rank-iter`."""
+    return gen_teacher_dataset(
+        "teacher-matrix", [16, 16], n=128, seed=seed, delta_kind="rotation", delta_scale=4.0
+    )
+
+
+PROBES = ("lemma1", "lemma2", "lemma3", "theorem1", "theorem2")
+
+
 def cmd_probe(args) -> int:
+    worst = EXIT_OK
+    for which in PROBES if args.which == "all" else (args.which,):
+        print(f"== probe {which} ==")
+        worst = max(worst, _probe_outputs(_probe_report(which, args), args.out_dir))
+    return worst
+
+
+def _probe_report(which: str, args):
+    """The ProbeReport of one bound probe at its desk-scale settings."""
     seeds = tuple(range(args.seeds))
-    if args.which == "lemma1":
+    if which == "lemma1":
         data, task = gen_teacher_dataset("teacher-matrix", [16, 16], n=256, seed=args.seed)
         report = probes.gradient_approx_probe(
             task, data, r_grid=(1, 2, 4, 8, 16), m_grid=(4, 16, 64), seeds=seeds
         )
-    elif args.which == "lemma2":
+    elif which == "lemma2":
         corpus = probes.run_booster_corpus(
             boosters_per_config=max(1, args.runs // 9), seed=args.seed
         )
         report = probes.update_norm_probe(corpus)
-    elif args.which == "lemma3":
+    elif which == "lemma3":
         data, task = gen_teacher_dataset("teacher-matrix", [6, 4], n=64, seed=args.seed)
         model = task.make_student()
         wid = probes.list_adaptable_weights(model)[0]
@@ -229,40 +286,58 @@ def cmd_probe(args) -> int:
         report.constants.beta = beta
         report.constants.mu = mu
         report.checks["estimate_le_beta"] = est.value <= beta * 1.05
-    elif args.which == "theorem1":
+    elif which == "theorem1":
         data, task = gen_teacher_dataset("teacher-matrix", [8, 8], n=128, seed=args.seed, noise=0.2)
         report = probes.convergence_sweep(
             task, data, t_grid=(1, 4, 16, 64), r_grid=(1,), kappa=8,
             seeds=seeds, eta=2.6, batch_size=128,
         )
     else:  # theorem2
-        data, task = gen_teacher_dataset(
-            "teacher-matrix", [16, 16], n=128, seed=args.seed,
-            delta_kind="rotation", delta_scale=4.0,
-        )
+        data, task = _rotation_teacher(args.seed)
         report = probes.expressiveness_sweep(
             task, data, total_steps=512,
             rt_grid=((1, 64), (8, 1), (1, 1), (16, 1)), seeds=seeds,
         )
-    return _probe_outputs(report, args.out_dir)
+    return report
 
 
 def cmd_sweep(args) -> int:
-    data, task = gen_teacher_dataset(
-        "teacher-matrix", [16, 16], n=128, seed=args.seed,
-        delta_kind="rotation", delta_scale=4.0,
-    )
-    rt_grid = [(r, t) for r in args.ranks for t in args.iterations]
-    report = probes.expressiveness_sweep(
-        task, data, total_steps=args.total_steps, rt_grid=rt_grid, seeds=tuple(range(args.seeds))
-    )
-    os.makedirs(args.out_dir, exist_ok=True)
-    report.write_csv(os.path.join(args.out_dir, "sweep.csv"))
-    report.write_json(os.path.join(args.out_dir, "sweep.json"))
+    """rank-iter: one boosted rank-1 arm per --iterations value, then one
+    single-adapter (T=1) arm per --ranks value not yet in the grid, on the
+    rotation teacher. kappa: the parity transformer at kappa = K/T for each
+    --iterations value T."""
+    budget = args.total_steps
+    # every T must divide K before any arm runs
+    kappas = [BoostConfig(iterations=t, total_steps=budget).steps_per_booster for t in args.iterations]
+    seeds = tuple(range(args.seeds))
+    if args.kind == "rank-iter":
+        rt_grid = [(1, t) for t in args.iterations]
+        for r in args.ranks or (1, 2, 4, 8):
+            if (r, 1) not in rt_grid:
+                rt_grid.append((r, 1))
+        data, task = _rotation_teacher(args.seed)
+        report = probes.expressiveness_sweep(task, data, total_steps=budget, rt_grid=rt_grid, seeds=seeds)
+        series = {
+            "boosted rank-1 (x = iterations)": sorted(
+                (p.params["t"], p.mean) for p in report.points if p.params["r"] == 1),
+            "single adapter (x = rank)": sorted(
+                (p.params["r"], p.mean) for p in report.points if p.params["t"] == 1),
+        }
+        svg = svg_line_plot(series, f"held-out error at K={budget}", "iterations / rank", "error")
+    else:
+        if args.ranks is not None:
+            raise ConfigError("--ranks is not used by sweep kappa (its rank is 1)")
+        cfg = RunConfig(task="parity-seq", seed=args.seed, n_examples=256, seq_len=4, n_layers=4)
+        data, _, _ = build_task(cfg)
+        report = probes.kappa_sweep(data, lambda: build_task(cfg)[1], total_steps=budget,
+                                    kappa_grid=kappas, seeds=seeds, sample_layers=2)
+        series = {"boosted rank-1": sorted((p.params["kappa"], p.mean) for p in report.points)}
+        svg = svg_line_plot(series, f"parity accuracy vs steps-per-booster at K={budget}",
+                            "steps per booster", "train accuracy")
     for p in report.points:
-        print(f"r={p.params['r']:3d} T={p.params['t']:4d}  err={p.mean:.6g} +- {p.std:.3g}")
-    print(f"wrote sweep.csv / sweep.json to {args.out_dir}")
-    return EXIT_OK
+        params = " ".join(f"{k}={v}" for k, v in p.params.items())
+        print(f"{params}  mean={p.mean:.6g} +- {p.std:.3g}  eta={p.extras['eta'][0]}")
+    return _probe_outputs(report, args.out_dir, svg=svg)
 
 
 def cmd_cost_model(args) -> int:
@@ -340,16 +415,17 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_gb_demo)
 
-    p = sub.add_parser("probe", help="run one bound probe and write its report")
-    p.add_argument("which", choices=("lemma1", "lemma2", "lemma3", "theorem1", "theorem2"))
+    p = sub.add_parser("probe", help="run one bound probe, or all five, and write its report")
+    p.add_argument("which", choices=(*PROBES, "all"))
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--seeds", type=int, default=5, help="replicates per grid point")
     p.add_argument("--runs", type=int, default=54, help="booster count for lemma2")
     p.add_argument("--out-dir", default="runs/probe")
     p.set_defaults(fn=cmd_probe)
 
-    p = sub.add_parser("sweep", help="rank x iterations grid at fixed step budget")
-    p.add_argument("--ranks", type=int, nargs="+", default=[1, 2, 4, 8])
+    p = sub.add_parser("sweep", help="rank-vs-iterations or steps-per-booster sweep at a fixed step budget")
+    p.add_argument("kind", choices=("rank-iter", "kappa"))
+    p.add_argument("--ranks", type=int, nargs="+", help="rank-iter single-adapter ranks (default 1 2 4 8)")
     p.add_argument("--iterations", type=int, nargs="+", default=[1, 8, 64])
     p.add_argument("--total-steps", type=int, default=512)
     p.add_argument("--seeds", type=int, default=5)

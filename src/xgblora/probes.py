@@ -220,7 +220,7 @@ def gradient_approx_probe(
             point = GridPoint(params={"r": int(r), "m": int(m)})
             point.extras["floor"] = []
             cfg = BoostConfig(iterations=1, steps_per_booster=m, rank=r, sample_layers=1, eta=eta,
-                              batch_size=batch_size, record_merge_loss=False)
+                              batch_size=batch_size)
             for i, seed in enumerate(seeds):
                 model = task.make_student()
                 # common random numbers across the M grid: the same seed
@@ -291,7 +291,6 @@ def run_booster_corpus(
                 eta=eta,
                 batch_size=16,
                 seed=seed + r * 1009 + kappa,
-                record_merge_loss=False,
             )
             _, traces = xgblora_fit(model, data, cfg)
             out.extend((t, eta) for t in traces)
@@ -443,7 +442,6 @@ def convergence_sweep(
                     eta=eta,
                     batch_size=batch_size,
                     seed=seed * 7919 + t * 131 + r,
-                    record_merge_loss=False,
                 )
                 xgblora_fit(model, data, cfg)
                 gap = loss_eval(model, data) - loss_star
@@ -542,7 +540,7 @@ def expressiveness_sweep(
                 model = task.make_student()
                 cfg = BoostConfig(iterations=int(t), total_steps=total_steps, rank=int(r),
                                   sample_layers=task.start.layers, eta=eta, batch_size=batch_size,
-                                  seed=seed * 104729 + r * 131 + t, record_merge_loss=False)
+                                  seed=seed * 104729 + r * 131 + t)
                 xgblora_fit(model, data, cfg)
                 train_losses.append(loss_eval(model, data))
                 errs.append(task.heldout_error(model, n=heldout_n, seed=0xE7A1))
@@ -633,7 +631,7 @@ def kappa_sweep(
                 model = model_builder()
                 cfg = BoostConfig(steps_per_booster=int(kappa), total_steps=total_steps, rank=rank,
                                   sample_layers=sample_layers or model.layers, policy=policy, eta=eta,
-                                  batch_size=batch_size, seed=seed * 60013 + kappa, record_merge_loss=False)
+                                  batch_size=batch_size, seed=seed * 60013 + kappa)
                 xgblora_fit(model, data, cfg)
                 losses.append(loss_eval(model, data))
                 accs.append(accuracy(model, eval_data))

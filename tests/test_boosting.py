@@ -185,7 +185,7 @@ class TestXgbLoraFit:
     def test_merge_loss_continuity(self):
         model, data = quadratic_setup(seed=5)
         cfg = BoostConfig(iterations=6, steps_per_booster=4, rank=2, sample_layers=1,
-                          eta=0.1, batch_size=16, seed=7)
+                          eta=0.1, batch_size=16, seed=7, record_merge_loss=True)
         _, traces = xgblora_fit(model, data, cfg)
         for trace in traces:
             denom = max(abs(trace.pre_merge_loss), 1e-12)
@@ -244,7 +244,7 @@ class TestXgbLoraFit:
         data2, task2 = gen_teacher_dataset("teacher-mlp", [6, 6, 6, 6, 6], n=32, seed=1)
         student = task2.make_student()
         cfg = BoostConfig(iterations=12, steps_per_booster=2, rank=1, sample_layers=2,
-                          eta=0.01, batch_size=8, seed=5, record_merge_loss=False)
+                          eta=0.01, batch_size=8, seed=5)
         _, traces = xgblora_fit(student, data2, cfg)
         subsets = {tuple(t.selected_layers) for t in traces}
         assert len(subsets) > 1
@@ -271,7 +271,7 @@ from xgblora.models import sort_key
 data = gen_sequence_dataset("parity", seq_len=4, n=128, seed=0)
 model = build_transformer(vocab=2, d_model=32, n_layers=4, n_heads=4, d_ff=64, rng=Rng(1), max_seq=4)
 cfg = BoostConfig(iterations=2, steps_per_booster=16, rank=1, sample_layers=2, policy="all",
-                  eta=1.0, batch_size=64, seed=0, record_merge_loss=False)
+                  eta=1.0, batch_size=64, seed=0)
 xgblora_fit(model, data, cfg)
 h = hashlib.sha256()
 for wid in sorted(model.weights, key=sort_key):

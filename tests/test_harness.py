@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -101,8 +102,9 @@ class TestCheckpoint:
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "v.xgbl"
-        # 1: before the run config was stored; 2: before the data digest and live trace
-        for version in (99, 1, 2):
+        # 1: before the run config was stored; 2: before the data digest and live trace;
+        # 3: the live trace's pair statistics still carry grad_eff_max
+        for version in (99, 1, 2, 3):
             save_checkpoint(path, small_model())
             raw = bytearray(path.read_bytes())
             raw[4:6] = version.to_bytes(2, "little")
@@ -338,14 +340,26 @@ class TestCli:
             assert not out.exists()
 
     def test_train_divergence_exits_1(self, tmp_path, capsys):
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = main(["train", "--seed", "5", "--task", "teacher-matrix", "--dims", "6,6",
-                       "--n-examples", "32", "-T", "4", "--kappa", "5", "--eta", "1e6",
-                       "--out-dir", str(tmp_path / "div")])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert "error:" in err and "diverged" in err
-        assert "Traceback" not in err
+        """A diverged fresh run exits 1 and leaves no run.cfg or metrics.csv,
+        nor the --out-dir it made."""
+        common = ["train", "--seed", "5", "--task", "teacher-matrix", "--dims", "6,6",
+                  "--n-examples", "32", "--eta", "1e6"]
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        for i, (flags, out) in enumerate([
+            (["-T", "4", "--kappa", "5"], tmp_path / "div"),
+            (["--method", "full-ft"], tmp_path / "ft" / "div"),
+            (["-T", "4", "--kappa", "5"], kept),
+        ]):
+            with np.errstate(over="ignore", invalid="ignore"):
+                rc = main([*common, *flags, "--out-dir", str(out)])
+            err = capsys.readouterr().err
+            assert rc == 1
+            assert "error:" in err and "diverged" in err
+            assert "Traceback" not in err
+            assert not (out / "run.cfg").exists() and not (out / "metrics.csv").exists()
+            assert out.exists() == (out == kept), i
+        assert not (tmp_path / "ft").exists()
 
     @pytest.mark.parametrize("flag", [["--resume", "x.xgbl"], ["--stop-after-step", "4"]])
     def test_full_ft_rejects_resume_flags(self, tmp_path, capsys, flag):
@@ -366,13 +380,13 @@ class TestCli:
             ])
         assert rc == 0
 
-    def test_probe_failure_exit_code(self, capsys):
+    def test_probe_failure_exit_code(self, tmp_path, capsys):
         from xgblora.cli import _probe_outputs
         from xgblora.probes import ProbeReport
 
         bad = ProbeReport(probe="demo")
         bad.checks["bound_holds"] = False
-        assert _probe_outputs(bad, "/tmp/xgblora-probe-fail-test") == 3
+        assert _probe_outputs(bad, str(tmp_path)) == 3
 
     def test_metrics_permille_matches_param_count(self, tmp_path):
         from xgblora.lora import param_count
@@ -495,12 +509,53 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["train", *SMALL, "-K", "100"],
         ["train", *SMALL, "-T", "3", "--kappa", "4", "-K", "16"],
-        ["sweep", "--iterations", "3", "--total-steps", "16", "--seeds", "1"],
+        ["sweep", "rank-iter", "--iterations", "3", "--total-steps", "16", "--seeds", "1"],
+        ["sweep", "kappa", "--iterations", "3", "--total-steps", "16"],
     ])
     def test_non_dividing_schedule_exits_1(self, tmp_path, capsys, argv):
         assert main([*argv, "--out-dir", str(tmp_path / "x")]) == 1
         assert "does not divide" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @staticmethod
+    def _report(out, probe):
+        with open(os.path.join(out, f"{probe}.json"), encoding="utf-8") as fh:
+            return json.load(fh)
+
+    @pytest.mark.parametrize("kind, flags, probe, points", [
+        ("rank-iter", ["--ranks", "1", "2"], "expressiveness",
+         [{"r": 1, "t": 2}, {"r": 1, "t": 1}, {"r": 2, "t": 1}]),
+        ("kappa", [], "kappa_sweep", [{"kappa": 4}, {"kappa": 8}]),
+    ])
+    def test_sweep_writes_report_and_plot(self, tmp_path, capsys, kind, flags, probe, points):
+        """rank-iter runs one boosted rank-1 arm per T, then one T=1 arm per
+        rank not yet in the grid; kappa runs kappa = K/T per T. Each writes
+        csv, json and svg, and exits 3 exactly when a check fails."""
+        out = str(tmp_path / kind)
+        rc = main(["sweep", kind, "--total-steps", "8", "--iterations", "2", "1", "--seeds", "1",
+                   *flags, "--out-dir", out])
+        assert sorted(os.listdir(out)) == [f"{probe}.{ext}" for ext in ("csv", "json", "svg")]
+        report = self._report(out, probe)
+        assert [p["params"] for p in report["points"]] == points
+        assert rc == (0 if report["passed"] else 3)
+        assert (tmp_path / kind / f"{probe}.svg").read_text(encoding="utf-8").startswith("<svg")
+
+    def test_sweep_kappa_rejects_ranks(self, tmp_path, capsys):
+        assert main(["sweep", "kappa", "--ranks", "2", "--out-dir", str(tmp_path / "k")]) == 1
+        assert "--ranks" in capsys.readouterr().err
+        assert not (tmp_path / "k").exists()
+
+    def test_probe_all_writes_five_reports(self, tmp_path, capsys):
+        from xgblora.cli import PROBES
+
+        out = str(tmp_path / "all")
+        rc = main(["probe", "all", "--seed", "0", "--seeds", "1", "--runs", "9", "--out-dir", out])
+        reports = ("gradient_approx", "update_norm", "lipschitz", "convergence", "expressiveness")
+        assert sorted(os.listdir(out)) == sorted(f"{r}.{ext}" for r in reports for ext in ("csv", "json"))
+        assert rc == max(0 if self._report(out, r)["passed"] else 3 for r in reports)
+        printed = capsys.readouterr().out
+        assert [line for line in printed.splitlines() if line.startswith("== ")] == [
+            f"== probe {which} ==" for which in PROBES]
 
     def test_cli_resume_matches_straight_run(self, tmp_path):
         common = [
