@@ -16,7 +16,6 @@ gradient-boosting reference and the analytic cost model live here too.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
@@ -166,16 +165,10 @@ class BoosterTrace:
 
 
 def select_layers(rng: Rng, n_layers: int, n_sample: int) -> list[int]:
-    """Uniform sample of layer indices (1-based) without replacement,
-    sorted. n_sample is clamped to n_layers with a warning."""
-    if n_sample < 1:
-        raise ConfigError(f"sample_layers must be >= 1, got {n_sample}")
-    if n_sample > n_layers:
-        warnings.warn(
-            f"sample_layers={n_sample} exceeds model layers={n_layers}; clamping",
-            stacklevel=2,
-        )
-        n_sample = n_layers
+    """Uniform sample of n_sample layer indices (1-based) without
+    replacement, sorted; 1 <= n_sample <= n_layers."""
+    if not 1 <= n_sample <= n_layers:
+        raise ConfigError(f"sample_layers must be in [1, {n_layers}], got {n_sample}")
     pool = list(range(1, n_layers + 1))
     for i in range(n_sample):
         j = i + rng.randint(n_layers - i)
@@ -449,12 +442,12 @@ def _fit_stump(x, resid) -> StumpLearner:
     return StumpLearner(threshold=best[0], left=best[1], right=best[2])
 
 
-def classic_gb_fit(x, y, rounds: int, weak: str = "linear", rate: Optional[float] = None) -> ClassicGbModel:
+def classic_gb_fit(x, y, rounds: int, weak: str = "linear") -> ClassicGbModel:
     """Residual-fitting gradient boosting with least-squares weak learners.
 
     Each round fits a learner to the current residuals y - F(x) and adds it
-    with a line-searched rate (or the fixed `rate`); with least-squares
-    learners and line search, training MSE is non-increasing by round.
+    with a line-searched rate; with least-squares learners and line search,
+    training MSE is non-increasing by round.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
@@ -474,12 +467,7 @@ def classic_gb_fit(x, y, rounds: int, weak: str = "linear", rate: Optional[float
         f = _fit_linear(x, resid) if weak == "linear" else _fit_stump(x, resid)
         fx = f(x)
         denom = float((fx * fx).sum())
-        if rate is not None:
-            alpha = rate
-        elif denom == 0.0:
-            alpha = 0.0
-        else:
-            alpha = float((resid * fx).sum() / denom)
+        alpha = 0.0 if denom == 0.0 else float((resid * fx).sum() / denom)
         pred = pred + alpha * fx
         learners.append(f)
         rates.append(alpha)

@@ -6,8 +6,9 @@ atomic (temp file, then rename).
 
 Layout (all integers little-endian):
     magic   4s   "XGBL"
-    version u16  (currently 4; earlier versions are rejected. Version 3's
-                 trace statistics carry a grad_eff_max that 4 dropped)
+    version u16  (currently 5; earlier versions are rejected. Version 4
+                 also stored a scale per pair and a tied-head flag in the
+                 spec, both dropped in 5)
     dtype   u8   0 = f64, 1 = f32
     step    u64  global optimizer step
     booster u32  1-based index of the booster in progress (0 = none)
@@ -20,7 +21,7 @@ Layout (all integers little-endian):
         layer u16, role u8, ndim u8, dims u32 each, raw float bytes
     has_adapters u8; if 1:
         booster_index u32, n_pairs u32, then per pair:
-            layer u16, role u8, rank u32, alpha f64,
+            layer u16, role u8, rank u32,
             A block (ndim/dims/raw), B block, A-init block
         trace u32 length + UTF-8 JSON (the live booster's step losses and
             per-pair statistics so far, or null)
@@ -41,7 +42,7 @@ from xgblora.lora import AdapterSet, LoraPair
 from xgblora.models import ModelSpec, Role, Tensor, WeightId, sort_key
 
 MAGIC = b"XGBL"
-VERSION = 4
+VERSION = 5
 
 _ROLE_CODES = {role: i for i, role in enumerate(Role)}
 _CODE_ROLES = {i: role for role, i in _ROLE_CODES.items()}
@@ -178,7 +179,6 @@ def _write_body(fh, model, step, booster, rng_state, adapters, config, data_sha2
         pair = adapters.pairs[wid]
         _write_wid(fh, wid)
         _write(fh, "I", pair.r)
-        _write(fh, "d", pair.alpha)
         _write_array(fh, pair.a.data, le_dtype)
         _write_array(fh, pair.b.data, le_dtype)
         _write_array(fh, pair.a_init, le_dtype)
@@ -221,7 +221,6 @@ def load_checkpoint(path) -> CheckpointState:
             for _ in range(n_pairs):
                 wid = _read_wid(fh)
                 (rank,) = _read(fh, "I")
-                (alpha,) = _read(fh, "d")
                 a = _read_array(fh, le_dtype).astype(np_dtype)
                 b = _read_array(fh, le_dtype).astype(np_dtype)
                 a_init = _read_array(fh, le_dtype).astype(np_dtype)
@@ -230,7 +229,6 @@ def load_checkpoint(path) -> CheckpointState:
                     a=Tensor(a, requires_grad=True, dtype=np_dtype),
                     b=Tensor(b, requires_grad=True, dtype=np_dtype),
                     r=rank,
-                    alpha=alpha,
                     _a_init=a_init,
                 )
             adapters = AdapterSet(pairs=pairs, booster_index=booster_index)

@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import os
 import sys
+from dataclasses import fields
 from typing import Optional
 
 import numpy as np
@@ -123,15 +124,10 @@ def _schedule(cfg: RunConfig, model) -> Optional[BoostConfig]:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config) if args.config else RunConfig()
-    for name in (
-        "method", "iterations", "kappa", "total_steps", "rank", "sample_layers", "lam",
-        "eta", "batch_size", "policy", "seed", "task", "dims", "noise", "n_examples",
-        "seq_len", "d_model", "n_layers", "n_heads", "d_ff", "precision", "out_dir",
-        "verbose_metrics",
-    ):
-        v = getattr(args, name, None)
+    for f in fields(RunConfig):  # a field with no flag, or a flag not given, reads as None
+        v = getattr(args, f.name, None)
         if v is not None:
-            setattr(cfg, name, v)
+            setattr(cfg, f.name, v)
     cfg.validate()
     data, model, _ = build_task(cfg)
     bc = _schedule(cfg, model)
@@ -151,7 +147,11 @@ def cmd_train(args) -> int:
     metrics_path = os.path.join(cfg.out_dir, "metrics.csv")
     ckpt_path = os.path.join(cfg.out_dir, "checkpoint.xgbl")
 
-    with _discard_if_diverged(cfg.out_dir, fresh=not args.resume):
+    # every overflow ends in a named FloatingPointError, so numpy's warnings add nothing
+    with (
+        _discard_if_diverged(cfg.out_dir, fresh=not args.resume),
+        np.errstate(over="ignore", invalid="ignore"),
+    ):
         save_config(cfg, os.path.join(cfg.out_dir, "run.cfg"))
         if cfg.method == "full-ft":
             counts = param_count(model)
@@ -161,8 +161,9 @@ def cmd_train(args) -> int:
                     batch_size=cfg.batch_size, seed=cfg.seed,
                 )
                 mw.write_step(1, len(losses), losses[-1], model_update_bytes(model, dtype_size))
+            final = _final_train_loss(model, data)
             save_checkpoint(ckpt_path, model, step=len(losses))
-            print(f"final loss {loss_eval(model, data):.6g}")
+            print(f"final loss {final:.6g}")
             return EXIT_OK
 
         model = run.model
@@ -177,13 +178,23 @@ def cmd_train(args) -> int:
                 mw.write_iteration(trace, run.global_step, nbytes)
 
             boost_step(run, stop_after_step=args.stop_after_step, on_merge=on_merge)
+        final = _final_train_loss(model, data)
 
     run.save(ckpt_path)
     status = "done" if run.done else f"paused at step {run.global_step}"
-    print(f"{status}; train loss {loss_eval(model, data):.6g}")
+    print(f"{status}; train loss {final:.6g}")
     if model.output_map == "softmax-ce":
         print(f"train accuracy {accuracy(model, data):.4f}")
     return EXIT_OK
+
+
+def _final_train_loss(model, data) -> float:
+    """Full-data train loss of the trained model; a non-finite one means the
+    last update diverged, which no per-step loss saw."""
+    value = loss_eval(model, data)
+    if not np.isfinite(value):
+        raise FloatingPointError(f"run diverged: final train loss {value}; lower eta")
+    return value
 
 
 @contextlib.contextmanager

@@ -1,7 +1,7 @@
 """Low-rank adapter lifecycle: init, apply, merge-into-base, accounting.
 
 An adapter pair (A, B) on a (d, k) target holds A (d, r) and B (r, k);
-the effective weight is W + alpha*A@B. B starts at zero so a fresh pair
+the effective weight is W + A@B. B starts at zero so a fresh pair
 is an exact no-op, and merging mid-training never moves the loss. A set
 is consumed by its merge; any further use is an error.
 """
@@ -26,7 +26,6 @@ class LoraPair:
     a: Tensor  # (d, r)
     b: Tensor  # (r, k)
     r: int
-    alpha: float = 1.0
     _a_init: np.ndarray = None  # snapshot of A at birth (B is born zero)
 
     def __post_init__(self):
@@ -38,8 +37,8 @@ class LoraPair:
         return self._a_init
 
     def delta(self) -> np.ndarray:
-        """Materialized alpha*A@B, detached."""
-        return self.alpha * (self.a.data @ self.b.data)
+        """Materialized A@B, detached."""
+        return self.a.data @ self.b.data
 
     def params(self):
         return (self.a, self.b)
@@ -67,7 +66,7 @@ class AdapterSet:
         return out
 
 
-def init_adapter(model: ModelSpec, target: WeightId, r: int, rng: Rng, alpha: float = 1.0) -> LoraPair:
+def init_adapter(model: ModelSpec, target: WeightId, r: int, rng: Rng) -> LoraPair:
     """Fresh pair on one target: A ~ 0.01 * Gaussian(0, 1/r), B = 0, so the
     effective delta is exactly zero at birth."""
     if r < 1:
@@ -81,7 +80,6 @@ def init_adapter(model: ModelSpec, target: WeightId, r: int, rng: Rng, alpha: fl
         a=Tensor(a.astype(model.dtype), requires_grad=True, dtype=model.dtype),
         b=Tensor(np.zeros((r, k), dtype=model.dtype), requires_grad=True, dtype=model.dtype),
         r=r,
-        alpha=alpha,
     )
     return pair
 
@@ -92,19 +90,18 @@ def init_adapter_set(
     r: int,
     rng: Rng,
     booster_index: int = 0,
-    alpha: float = 1.0,
 ) -> AdapterSet:
     """One pair per target, initialized in deterministic target order."""
     pairs = {}
     for wid in sorted(targets, key=sort_key):
         if wid in pairs:
             raise AdapterError(f"duplicate adapter target {wid}")
-        pairs[wid] = init_adapter(model, wid, r, rng, alpha=alpha)
+        pairs[wid] = init_adapter(model, wid, r, rng)
     return AdapterSet(pairs=pairs, booster_index=booster_index)
 
 
 def merge_adapters(model: ModelSpec, adapters: AdapterSet) -> ModelSpec:
-    """Fold every pair into its base weight in place: W += alpha*A@B.
+    """Fold every pair into its base weight in place: W += A@B.
 
     The set is consumed; a second merge (or any later forward through it)
     raises. Returns the same model for chaining.

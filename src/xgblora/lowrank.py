@@ -116,12 +116,6 @@ def svd_topr(mx, r: int) -> TruncatedSvd:
     return TruncatedSvd(u=u, s=s, v=v, approx=approx, tail_sq=tail_sq)
 
 
-def singular_values(mx) -> np.ndarray:
-    """All singular values (Jacobi path), non-increasing."""
-    _, s, _ = _jacobi_svd(_jacobi_input(np.asarray(mx, dtype=np.float64)))
-    return s
-
-
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Gaussian elimination with partial pivoting for small dense systems."""
     a = np.asarray(a, dtype=np.float64).copy()

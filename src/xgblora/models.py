@@ -82,7 +82,6 @@ class ModelSpec:
     n_heads: Optional[int] = None
     d_ff: Optional[int] = None
     max_seq: Optional[int] = None
-    tie_output: bool = False
     dtype: np.dtype = np.float64
 
     def structure(self) -> dict:
@@ -98,7 +97,6 @@ class ModelSpec:
             "n_heads": self.n_heads,
             "d_ff": self.d_ff,
             "max_seq": self.max_seq,
-            "tie_output": self.tie_output,
             "dtype": "f32" if np.dtype(self.dtype) == np.float32 else "f64",
         }
 
@@ -116,7 +114,6 @@ class ModelSpec:
             n_heads=s.get("n_heads"),
             d_ff=s.get("d_ff"),
             max_seq=s.get("max_seq"),
-            tie_output=s.get("tie_output", False),
             dtype=np.float32 if s.get("dtype") == "f32" else np.float64,
         )
 
@@ -218,13 +215,11 @@ def build_transformer(
     rng=None,
     max_seq=64,
     activation="gelu",
-    tie_output=False,
     dtype=np.float64,
 ) -> ModelSpec:
     """Decoder-only transformer: per block AttnQ/K/V/O (d_model square) and
     FfnUp (d_ff, d_model) / FfnDown (d_model, d_ff), plus embedding, learned
-    positional embedding, and an output head (tied to the embedding when
-    requested)."""
+    positional embedding, and an output head."""
     if d_model % n_heads != 0:
         raise ValueError(f"d_model={d_model} not divisible by n_heads={n_heads}")
     rng = rng or Rng(0)
@@ -238,8 +233,7 @@ def build_transformer(
         weights[WeightId(l, Role.ATTN_O)] = _gauss_init(rng, (d_model, d_model), dtype)
         weights[WeightId(l, Role.FFN_UP)] = _gauss_init(rng, (d_ff, d_model), dtype)
         weights[WeightId(l, Role.FFN_DOWN)] = _gauss_init(rng, (d_model, d_ff), dtype)
-    if not tie_output:
-        weights[WeightId(n_layers, Role.OUTPUT)] = _gauss_init(rng, (vocab, d_model), dtype)
+    weights[WeightId(n_layers, Role.OUTPUT)] = _gauss_init(rng, (vocab, d_model), dtype)
     return ModelSpec(
         kind="tiny_transformer",
         layers=n_layers,
@@ -251,7 +245,6 @@ def build_transformer(
         n_heads=n_heads,
         d_ff=d_ff,
         max_seq=max_seq,
-        tie_output=tie_output,
         dtype=dtype,
     )
 
@@ -279,7 +272,7 @@ def list_adaptable_weights(model: ModelSpec, policy="qv") -> list[WeightId]:
 
 
 def _resolve_weights(model: ModelSpec, adapters, collect):
-    """Map wid -> effective weight tensor, materializing W + alpha*A@B for
+    """Map wid -> effective weight tensor, materializing W + A@B for
     adapted matrices so merged and adapted forwards share the same float
     path. Base weights are never mutated; an adapter whose A (d, r) or
     B (r, k) does not fit its (d, k) target raises ShapeError rather than
@@ -300,10 +293,7 @@ def _resolve_weights(model: ModelSpec, adapters, collect):
                     f"adapter for {wid} has shapes A{pair.a.data.shape} B{pair.b.data.shape}, "
                     f"target is {w.data.shape}"
                 )
-            delta = matmul(pair.a, pair.b)
-            if pair.alpha != 1.0:
-                delta = delta * pair.alpha
-            eff[wid] = w + delta
+            eff[wid] = w + matmul(pair.a, pair.b)
             if collect is not None:
                 collect[wid] = eff[wid]
     return eff
@@ -358,16 +348,12 @@ def _transformer_forward(model: ModelSpec, ids: np.ndarray, eff) -> Tensor:
         x = x + matmul(h, transpose(eff[WeightId(l, Role.FFN_DOWN)]))
 
     x = layer_norm(x)
-    if model.tie_output:
-        head = eff[WeightId(1, Role.EMBEDDING)]
-    else:
-        head = eff[WeightId(model.layers, Role.OUTPUT)]
-    return matmul(x, transpose(head))
+    return matmul(x, transpose(eff[WeightId(model.layers, Role.OUTPUT)]))
 
 
 def forward(model: ModelSpec, batch, adapters=None, collect=None) -> Tensor:
     """Logits for a batch. When adapters are present every targeted matrix
-    acts as W + alpha*A@B without mutating the stored weights. `collect`, if
+    acts as W + A@B without mutating the stored weights. `collect`, if
     given, is filled with {wid: effective-weight tensor} for gradient
     inspection after backward."""
     inputs = batch.inputs if isinstance(batch, Batch) else batch
@@ -426,9 +412,9 @@ def loss_eval(model: ModelSpec, dataset: Dataset, adapters=None, lam=0.0) -> flo
     return batch_loss(model, dataset.full_batch(), adapters=adapters, lam=lam).item()
 
 
-def accuracy(model: ModelSpec, dataset: Dataset, adapters=None) -> float:
+def accuracy(model: ModelSpec, dataset: Dataset) -> float:
     """Classification accuracy (softmax-ce models only)."""
-    logits = forward(model, dataset.full_batch(), adapters=adapters)
+    logits = forward(model, dataset.full_batch())
     z = logits.data
     if z.ndim == 3:
         z = z[:, -1, :]

@@ -350,9 +350,9 @@ def lipschitz_probe(
     n_pairs: int,
     radius: float,
     rng: Rng,
-    center: Optional[np.ndarray] = None,
 ) -> LipschitzEstimate:
-    """max over sampled weight pairs of |grad(W1)-grad(W2)| / |W1-W2|.
+    """max over sampled weight pairs of |grad(W1)-grad(W2)| / |W1-W2|,
+    with W1 and W2 at `radius` times a random direction from zero.
 
     Perturbation directions alternate between full Gaussian and rank-one
     (the extremal direction of a quadratic is rank-one, so pure Gaussian
@@ -362,8 +362,6 @@ def lipschitz_probe(
     """
     if radius <= 0:
         raise ValueError(f"radius must be > 0, got {radius}")
-    if center is None:
-        center = np.zeros(shape)
     best = 0.0
     running = []
     for i in range(n_pairs):
@@ -374,8 +372,8 @@ def lipschitz_probe(
             u1, v1 = rng.gaussian((shape[0],)), rng.gaussian((shape[1],))
             u2, v2 = rng.gaussian((shape[0],)), rng.gaussian((shape[1],))
             d1, d2 = np.outer(u1, v1), np.outer(u2, v2)
-        w1 = center + radius * d1
-        w2 = center + radius * d2
+        w1 = radius * d1
+        w2 = radius * d2
         dw = frobenius_norm(w1 - w2)
         if dw < 1e-12:
             running.append(best)
@@ -516,23 +514,16 @@ def expressiveness_sweep(
     """Held-out squared gap to the teacher at fixed total step budget.
 
     rt_grid is a list of (rank, iterations) pairs; steps per booster is
-    total_steps / iterations (must divide). iterations=0 evaluates the
-    untouched start model. Each arm picks its step size from eta_grid by
-    mean final train loss over all seeds (divergent candidates
-    disqualified) - a fixed-budget comparison is only fair when each arm
-    runs at its own stable rate. Fits the architecture constant against
-    both middle-term variants, 1/(M*sqrt(M)*T) and 1/(M*sqrt(T)), and
-    reports which fits better without asserting either.
+    total_steps / iterations (must divide). Each arm picks its step size
+    from eta_grid by mean final train loss over all seeds (divergent
+    candidates disqualified) - a fixed-budget comparison is only fair when
+    each arm runs at its own stable rate. Fits the architecture constant
+    against both middle-term variants, 1/(M*sqrt(M)*T) and 1/(M*sqrt(T)),
+    and reports which fits better without asserting either.
     """
     report = ProbeReport(probe="expressiveness")
     for r, t in rt_grid:
         point = GridPoint(params={"r": int(r), "t": int(t)})
-        if t == 0:
-            err = task.heldout_error(task.make_student(), n=heldout_n, seed=0xE7A1)
-            point.values = [err for _ in seeds]
-            point.extras["eta"] = [0.0 for _ in seeds]
-            report.points.append(point)
-            continue
 
         def run_arm(eta):
             train_losses, errs = [], []
@@ -562,21 +553,19 @@ def expressiveness_sweep(
             means = [m for _, m in sorted(pairs)]
             report.checks[f"err_nonincreasing_in_r_t{t}"] = seed_mean_nonincreasing(means)
     for r, pairs in sorted(by_t.items()):
-        trained_pairs = [(t, m) for t, m in sorted(pairs) if t > 0]
-        if len(trained_pairs) > 1:
-            means = [m for _, m in trained_pairs]
+        if len(pairs) > 1:
+            means = [m for _, m in sorted(pairs)]
             report.checks[f"err_nonincreasing_in_t_r{r}"] = seed_mean_nonincreasing(means)
 
-    trained = [p for p in report.points if p.params["t"] > 0]
-    if len(trained) >= 3:
-        _fit_middle_terms(report, trained, total_steps)
+    if len(report.points) >= 3:
+        _fit_middle_terms(report, total_steps)
     return report
 
 
-def _fit_middle_terms(report, trained, total_steps):
+def _fit_middle_terms(report, total_steps):
     """NNLS fits of the expressiveness surface against both candidate
     middle terms; records R² for each, asserts neither."""
-    target = np.array([p.mean for p in trained])
+    target = np.array([p.mean for p in report.points])
     for label, mid in (
         ("mid_m15_t", lambda m, t: 1.0 / (m * np.sqrt(m) * t)),
         ("mid_m_sqrt_t", lambda m, t: 1.0 / (m * np.sqrt(t))),
@@ -588,7 +577,7 @@ def _fit_middle_terms(report, trained, total_steps):
                     mid(total_steps / p.params["t"], p.params["t"]),
                     1.0 / np.sqrt(p.params["t"]),
                 ]
-                for p in trained
+                for p in report.points
             ]
         )
         coef = nnls(feats, target)
@@ -606,22 +595,17 @@ def kappa_sweep(
     kappa_grid,
     seeds=DEFAULT_SEEDS,
     eta_grid=(0.5, 1.0),
-    rank: int = 1,
-    policy: str = "all",
     sample_layers: Optional[int] = None,
     batch_size: int = 64,
-    eval_data: Optional[Dataset] = None,
 ) -> ProbeReport:
-    """Final classification accuracy as a function of steps-per-booster at a
-    fixed total budget (the rank is fixed, usually 1). sample_layers keeps
-    the random-layer-selection semantics: at kappa = total budget the single
-    booster adapts one fixed random subset, while shorter boosters rotate
-    subsets and cover the network. Each arm picks its step size from
-    eta_grid by mean final train loss over all seeds (divergent candidates
-    disqualified); accuracies are measured on eval_data (train set if
-    omitted)."""
+    """Final train accuracy as a function of steps-per-booster at a fixed
+    total budget, for rank-1 boosters on every matrix of a block (policy
+    "all"). sample_layers keeps the random-layer-selection semantics: at
+    kappa = total budget the single booster adapts one fixed random subset,
+    while shorter boosters rotate subsets and cover the network. Each arm
+    picks its step size from eta_grid by mean final train loss over all
+    seeds (divergent candidates disqualified)."""
     report = ProbeReport(probe="kappa_sweep")
-    eval_data = eval_data or data
     for kappa in kappa_grid:
         point = GridPoint(params={"kappa": int(kappa)})
 
@@ -629,12 +613,12 @@ def kappa_sweep(
             losses, accs = [], []
             for seed in seeds:
                 model = model_builder()
-                cfg = BoostConfig(steps_per_booster=int(kappa), total_steps=total_steps, rank=rank,
-                                  sample_layers=sample_layers or model.layers, policy=policy, eta=eta,
+                cfg = BoostConfig(steps_per_booster=int(kappa), total_steps=total_steps, rank=1,
+                                  sample_layers=sample_layers or model.layers, policy="all", eta=eta,
                                   batch_size=batch_size, seed=seed * 60013 + kappa)
                 xgblora_fit(model, data, cfg)
                 losses.append(loss_eval(model, data))
-                accs.append(accuracy(model, eval_data))
+                accs.append(accuracy(model, data))
             return float(np.mean(losses)), accs
 
         chosen, accs = _pick_step_size(eta_grid, run_arm, arm=f"kappa={kappa}")

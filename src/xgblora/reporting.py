@@ -64,38 +64,30 @@ class MetricsWriter:
             self._fh.write(",".join(METRICS_HEADER) + "\n")
             self._fh.flush()
 
-    def write_iteration(self, trace, step: int, update_bytes: int):
-        row = [
-            METRICS_SCHEMA,
-            self.run_id,
-            str(trace.t),
-            str(step),
-            _fmt(trace.step_losses[-1] if trace.step_losses else float("nan")),
-            _fmt(trace.a_norm),
-            _fmt(trace.b_norm),
-            _fmt(trace.grad_max),
-            _fmt((time.monotonic() - self._start) * 1000.0),
-            str(update_bytes),
-            _fmt(self.permille),
-        ]
-        self._fh.write(",".join(row) + "\n")
-        self._fh.flush()
-
-    def write_step(self, t: int, step: int, loss: float, update_bytes: int):
+    def _write_row(self, t: int, step: int, loss: float, norms: tuple, update_bytes: int):
+        """One METRICS_HEADER row; `norms` holds the a_norm, b_norm and
+        grad_norm cells."""
         row = [
             METRICS_SCHEMA,
             self.run_id,
             str(t),
             str(step),
             _fmt(loss),
-            "",
-            "",
-            "",
+            *norms,
             _fmt((time.monotonic() - self._start) * 1000.0),
             str(update_bytes),
             _fmt(self.permille),
         ]
         self._fh.write(",".join(row) + "\n")
+
+    def write_iteration(self, trace, step: int, update_bytes: int):
+        loss = trace.step_losses[-1] if trace.step_losses else float("nan")
+        norms = (_fmt(trace.a_norm), _fmt(trace.b_norm), _fmt(trace.grad_max))
+        self._write_row(trace.t, step, loss, norms, update_bytes)
+        self._fh.flush()
+
+    def write_step(self, t: int, step: int, loss: float, update_bytes: int):
+        self._write_row(t, step, loss, ("", "", ""), update_bytes)
 
     def close(self):
         self._fh.close()

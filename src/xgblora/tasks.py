@@ -3,8 +3,7 @@ classification.
 
 Teacher tasks freeze a random start model and a target model of the same
 class; the dataset labels come from the target, so zero train error is
-attainable by construction and the weight gap W* - W0 is a well-defined
-quantity for expressiveness measurements.
+attainable by construction.
 """
 
 from __future__ import annotations
@@ -34,13 +33,6 @@ class TeacherTask:
     def make_student(self) -> ModelSpec:
         return self.start.copy()
 
-    def weight_gap(self) -> dict:
-        """Per-weight target delta W* - W0."""
-        return {
-            wid: self.teacher.weights[wid].data - self.start.weights[wid].data
-            for wid in self.start.weights
-        }
-
     def sample_inputs(self, n: int, rng: Rng) -> np.ndarray:
         return rng.gaussian((n, self.input_dim))
 
@@ -52,10 +44,10 @@ class TeacherTask:
             y = y + self.noise * rng.gaussian(y.shape)
         return y
 
-    def heldout_error(self, model: ModelSpec, adapters=None, n: int = 512, seed: int = 0xE7A1) -> float:
+    def heldout_error(self, model: ModelSpec, n: int = 512, seed: int = 0xE7A1) -> float:
         """Mean squared output gap to the noiseless teacher on fresh inputs."""
         x = self.sample_inputs(n, Rng(seed))
-        student_out = forward(model, x, adapters=adapters).data
+        student_out = forward(model, x).data
         teacher_out = forward(self.teacher, x).data
         return float(((student_out - teacher_out) ** 2).mean())
 
@@ -80,7 +72,6 @@ def gen_teacher_dataset(
     seed: int = 0,
     delta_scale: float = 1.0,
     delta_kind: str = "gaussian",
-    activation: str = "relu",
 ) -> tuple[Dataset, TeacherTask]:
     """Gaussian inputs labelled by a frozen random model of the same class.
 
@@ -102,7 +93,7 @@ def gen_teacher_dataset(
     if kind == "teacher-matrix" and len(dims) != 2:
         raise ValueError(f"teacher-matrix needs dims [d_in, d_out], got {dims}")
     rng = Rng(seed)
-    start = build_mlp(dims, activation=activation, output_map="identity-mse", rng=rng)
+    start = build_mlp(dims, output_map="identity-mse", rng=rng)
     teacher = start.copy()
     for wid, w in teacher.weights.items():
         fan_in = w.data.shape[1]

@@ -395,25 +395,17 @@ def frobenius_norm(t: Tensor | np.ndarray) -> float:
     return float(np.sqrt((arr * arr).sum()))
 
 
-def sgd_step(params, eta: float, grads=None):
-    """In-place θ ← θ − η·g for each param; grads are consumed (zeroed).
-
-    `grads` defaults to each param's .grad; a param with no grad is left
-    untouched (its gradient is zero).
+def sgd_step(params, eta: float):
+    """In-place θ ← θ − η·g for each param, with g its .grad; grads are
+    consumed (zeroed). A param with no grad is left untouched (its
+    gradient is zero).
     """
     if eta < 0:
         raise ValueError(f"step size must be >= 0, got {eta}")
-    params = list(params)
-    if grads is None:
-        grads = [p.grad for p in params]
-    else:
-        grads = list(grads)
-        if len(grads) != len(params):
-            raise ShapeError(f"{len(params)} params vs {len(grads)} grads")
-    for p, g in zip(params, grads):
+    for p in params:
+        g = p.grad
         if g is None:
             continue
-        g = g.data if isinstance(g, Tensor) else g
         if g.shape != p.data.shape:
             raise ShapeError(f"grad shape {g.shape} does not match param {p.data.shape}")
         p.data -= eta * g

@@ -103,8 +103,9 @@ class TestCheckpoint:
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "v.xgbl"
         # 1: before the run config was stored; 2: before the data digest and live trace;
-        # 3: the live trace's pair statistics still carry grad_eff_max
-        for version in (99, 1, 2, 3):
+        # 3: the live trace's pair statistics still carry grad_eff_max;
+        # 4: each adapter pair still carries its scale alpha
+        for version in (99, 1, 2, 3, 4):
             save_checkpoint(path, small_model())
             raw = bytearray(path.read_bytes())
             raw[4:6] = version.to_bytes(2, "little")
@@ -340,24 +341,33 @@ class TestCli:
             assert not out.exists()
 
     def test_train_divergence_exits_1(self, tmp_path, capsys):
-        """A diverged fresh run exits 1 and leaves no run.cfg or metrics.csv,
-        nor the --out-dir it made."""
+        """A diverged fresh run exits 1 with one named error and no numpy
+        warning, and leaves no run.cfg or metrics.csv, nor the --out-dir it
+        made. At eta=1e308 every step loss is finite and only the trained
+        model's loss is not."""
+        import warnings
+
         common = ["train", "--seed", "5", "--task", "teacher-matrix", "--dims", "6,6",
-                  "--n-examples", "32", "--eta", "1e6"]
+                  "--n-examples", "32"]
         kept = tmp_path / "kept"
         kept.mkdir()
         for i, (flags, out) in enumerate([
-            (["-T", "4", "--kappa", "5"], tmp_path / "div"),
-            (["--method", "full-ft"], tmp_path / "ft" / "div"),
-            (["-T", "4", "--kappa", "5"], kept),
+            (["--eta", "1e6", "-T", "4", "--kappa", "5"], tmp_path / "div"),
+            (["--eta", "1e6", "--method", "full-ft"], tmp_path / "ft" / "div"),
+            (["--eta", "1e6", "-T", "4", "--kappa", "5"], kept),
+            (["--eta", "1e308", "-T", "1", "--kappa", "1"], tmp_path / "last"),
+            (["--eta", "1e308", "--method", "full-ft", "-K", "1"], tmp_path / "ft" / "last"),
         ]):
-            with np.errstate(over="ignore", invalid="ignore"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 rc = main([*common, *flags, "--out-dir", str(out)])
             err = capsys.readouterr().err
-            assert rc == 1
+            assert rc == 1, i
             assert "error:" in err and "diverged" in err
             assert "Traceback" not in err
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], i
             assert not (out / "run.cfg").exists() and not (out / "metrics.csv").exists()
+            assert not (out / "checkpoint.xgbl").exists()
             assert out.exists() == (out == kept), i
         assert not (tmp_path / "ft").exists()
 

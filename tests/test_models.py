@@ -94,12 +94,6 @@ class TestBuildTransformer:
         assert np.array_equal(la[:, :-1, :], lb[:, :-1, :])
         assert not np.array_equal(la[:, -1, :], lb[:, -1, :])
 
-    def test_tied_output_head(self):
-        m = build_transformer(vocab=6, d_model=8, n_layers=1, n_heads=2, d_ff=16, rng=Rng(9), tie_output=True)
-        assert WeightId(1, Role.OUTPUT) not in m.weights
-        ids = np.array([[1, 2, 3]])
-        assert mz.forward(m, ids).shape == (1, 3, 6)
-
 
 class TestForwardWithAdapters:
     def _mlp(self, seed=5):
@@ -125,8 +119,7 @@ class TestForwardWithAdapters:
         for wid, pair in adapters.pairs.items():
             pre.weights[wid].data += pair.delta()
         out = mz.forward(pre, x).data
-        denom = max(np.abs(out).max(), 1e-12)
-        assert np.abs(adapted - out).max() / denom <= 1e-12
+        assert np.array_equal(adapted, out)
 
     def test_base_weights_never_mutated_by_forward(self):
         m = self._mlp()

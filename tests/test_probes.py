@@ -205,11 +205,6 @@ class TestConvergenceSweep:
 
 
 class TestExpressivenessSweep:
-    def test_zero_delta_teacher_zero_error_at_t0(self):
-        data, task = gen_teacher_dataset("teacher-matrix", [6, 6], n=32, seed=2, delta_scale=0.0)
-        rep = expressiveness_sweep(task, data, total_steps=8, rt_grid=[(1, 0)], seeds=range(2))
-        assert rep.point(r=1, t=0).mean == 0.0
-
     def test_full_rank_single_adapter_reaches_teacher(self, rotation_teacher):
         data, task = rotation_teacher
         rep = expressiveness_sweep(task, data, total_steps=512, rt_grid=[(12, 1)],

@@ -43,11 +43,6 @@ class TestTeacherDataset:
         with pytest.raises(ValueError):
             gen_teacher_dataset("teacher-cnn", [4, 4], n=8)
 
-    def test_weight_gap_shapes(self):
-        _, task = gen_teacher_dataset("teacher-mlp", [4, 6, 2], n=8, seed=1)
-        gaps = task.weight_gap()
-        assert {wid.layer for wid in gaps} == {1, 2}
-
 
 class TestSequenceDataset:
     def test_parity_of_zeros_is_class_zero(self):

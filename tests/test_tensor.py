@@ -214,12 +214,14 @@ class TestFiniteDiff:
 class TestSgdStep:
     def test_zero_grad_keeps_params(self):
         p = Tensor([1.0, 2.0], requires_grad=True)
-        tt.sgd_step([p], eta=0.5, grads=[np.zeros(2)])
+        p.grad = np.zeros(2)
+        tt.sgd_step([p], eta=0.5)
         assert np.array_equal(p.data, [1.0, 2.0])
 
     def test_arithmetic(self):
         p = Tensor([1.0], requires_grad=True)
-        tt.sgd_step([p], eta=0.1, grads=[np.array([2.0])])
+        p.grad = np.array([2.0])
+        tt.sgd_step([p], eta=0.1)
         assert np.allclose(p.data, [0.8])
 
     def test_quadratic_descends_for_small_eta(self):
@@ -239,8 +241,9 @@ class TestSgdStep:
 
     def test_shape_mismatch(self):
         p = Tensor([1.0, 2.0], requires_grad=True)
+        p.grad = np.zeros(3)
         with pytest.raises(tt.ShapeError):
-            tt.sgd_step([p], eta=0.1, grads=[np.zeros(3)])
+            tt.sgd_step([p], eta=0.1)
 
 
 class TestFrobenius:
