@@ -6,8 +6,8 @@ rank-vs-iterations trade-off (runs/tradeoff) and `sweep kappa` the parity
 steps-per-booster sweep (runs/kappa). Each writes its ProbeReport through
 `_probe_outputs`.
 
-Exit codes: 0 success, 1 config or data error or a diverged run,
-2 usage error (argparse), 3 a probe or sweep check failed.
+Exit codes: 0 success, 1 config or data error, an unreadable path or a
+diverged run, 2 usage error (argparse), 3 a probe or sweep check failed.
 """
 
 from __future__ import annotations
@@ -470,7 +470,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ConfigFileError, ConfigError, CheckpointError, ReportError, ValueError,
-            FloatingPointError) as exc:
+            FloatingPointError, OSError) as exc:  # OSError: a missing or unreadable path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -271,7 +271,7 @@ def list_adaptable_weights(model: ModelSpec, policy="qv") -> list[WeightId]:
     return sorted(ids, key=sort_key)
 
 
-def _resolve_weights(model: ModelSpec, adapters, collect):
+def _resolve_weights(model: ModelSpec, adapters):
     """Map wid -> effective weight tensor, materializing W + A@B for
     adapted matrices so merged and adapted forwards share the same float
     path. Base weights are never mutated; an adapter whose A (d, r) or
@@ -294,8 +294,6 @@ def _resolve_weights(model: ModelSpec, adapters, collect):
                     f"target is {w.data.shape}"
                 )
             eff[wid] = w + matmul(pair.a, pair.b)
-            if collect is not None:
-                collect[wid] = eff[wid]
     return eff
 
 
@@ -351,13 +349,11 @@ def _transformer_forward(model: ModelSpec, ids: np.ndarray, eff) -> Tensor:
     return matmul(x, transpose(eff[WeightId(model.layers, Role.OUTPUT)]))
 
 
-def forward(model: ModelSpec, batch, adapters=None, collect=None) -> Tensor:
+def forward(model: ModelSpec, batch, adapters=None) -> Tensor:
     """Logits for a batch. When adapters are present every targeted matrix
-    acts as W + A@B without mutating the stored weights. `collect`, if
-    given, is filled with {wid: effective-weight tensor} for gradient
-    inspection after backward."""
+    acts as W + A@B without mutating the stored weights."""
     inputs = batch.inputs if isinstance(batch, Batch) else batch
-    eff = _resolve_weights(model, adapters, collect)
+    eff = _resolve_weights(model, adapters)
     if model.kind == "mlp":
         x = inputs if isinstance(inputs, Tensor) else Tensor(np.asarray(inputs), dtype=model.dtype)
         if x.data.shape[-1] != model.dims[0]:
@@ -390,10 +386,10 @@ def task_loss(model: ModelSpec, logits: Tensor, targets) -> Tensor:
     return mse(logits, tgt)
 
 
-def batch_loss(model: ModelSpec, batch: Batch, adapters=None, lam=0.0, collect=None) -> Tensor:
+def batch_loss(model: ModelSpec, batch: Batch, adapters=None, lam=0.0) -> Tensor:
     """Training objective: mean task loss plus lam * sum of squared adapter
     Frobenius norms over the active adapters only."""
-    logits = forward(model, batch, adapters=adapters, collect=collect)
+    logits = forward(model, batch, adapters=adapters)
     loss = task_loss(model, logits, batch.targets)
     if lam and adapters is not None:
         penalty = None

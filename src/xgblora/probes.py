@@ -18,7 +18,7 @@ import numpy as np
 
 from xgblora.boosting import BoostConfig, BoosterTrace, train_booster, xgblora_fit
 from xgblora.lora import init_adapter_set
-from xgblora.lowrank import nnls, r_squared, solve, svd_topr, symmetric_extremal_eigs
+from xgblora.lowrank import nnls, r_squared, svd_topr
 from xgblora.models import (
     Dataset,
     ModelSpec,
@@ -170,8 +170,8 @@ def quadratic_curvature(data: Dataset) -> tuple[float, float]:
     x = np.asarray(data.inputs, dtype=np.float64)
     k = np.asarray(data.targets).shape[1]
     scale = 2.0 / (x.shape[0] * k)
-    lam_max, lam_min = symmetric_extremal_eigs(x.T @ x)
-    return scale * lam_max, scale * lam_min
+    eigs = np.linalg.eigvalsh(x.T @ x)  # ascending
+    return float(scale * eigs[-1]), float(scale * max(eigs[0], 0.0))
 
 
 def _single_matrix_wid(model: ModelSpec) -> WeightId:
@@ -181,17 +181,6 @@ def _single_matrix_wid(model: ModelSpec) -> WeightId:
             "probe restricted to strongly convex tasks: need a single-matrix linear model"
         )
     return wids[0]
-
-
-def _full_batch_effective_grad(model: ModelSpec, data: Dataset, adapters, wid: WeightId) -> np.ndarray:
-    collect = {}
-    loss = batch_loss(model, data.full_batch(), adapters=adapters, lam=0.0, collect=collect)
-    loss.backward()
-    g = collect[wid].grad.copy()
-    for pair in adapters.pairs.values():
-        pair.a.zero_grad()
-        pair.b.zero_grad()
-    return g
 
 
 def gradient_approx_probe(
@@ -229,11 +218,10 @@ def gradient_approx_probe(
                 rng = Rng(seed * 1_000_003 + 7919 * r)
                 adapters = init_adapter_set(model, [wid], r, rng, booster_index=1)
                 train_booster(model, adapters, data, cfg, rng)
-                g_full = _full_batch_effective_grad(model, data, adapters, wid)
                 pair = adapters.pairs[wid]
                 a = pair.a.data
-                gram = a.T @ a
-                g_hat = -(a @ solve(gram, pair.b.data)) / (eta * m)
+                g_full = model_grad_fn(model, data, wid)(model.weights[wid].data + a @ pair.b.data)
+                g_hat = -(a @ np.linalg.solve(a.T @ a, pair.b.data)) / (eta * m)
                 err = frobenius_norm(g_full - g_hat)
                 floor = float(np.sqrt(svd_topr(g_full, min(r, min(g_full.shape))).tail_sq))
                 point.values.append(err)

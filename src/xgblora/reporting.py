@@ -193,7 +193,10 @@ def svg_line_plot(series: dict, title: str, x_label: str, y_label: str) -> str:
 def emit_report(csv_dir, out_dir=None) -> dict:
     """Aggregate every metrics CSV under csv_dir into report.md plus one
     loss-curve SVG per run. Returns {filename: bytes written}. An empty
-    directory yields a valid empty report."""
+    directory yields a valid empty report; a missing one raises ReportError
+    before any directory is made."""
+    if not os.path.isdir(csv_dir):
+        raise ReportError(f"not a directory: {csv_dir}")
     out_dir = out_dir or csv_dir
     os.makedirs(out_dir, exist_ok=True)
     csvs = sorted(

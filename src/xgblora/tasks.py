@@ -143,13 +143,11 @@ def gen_sequence_dataset(task: str, seq_len: int, n: int, seed: int = 0, vocab: 
 def quadratic_optimum(dataset: Dataset) -> tuple[np.ndarray, float]:
     """Closed-form least-squares weight and its loss for a linear model
     y = x @ W.T under mean-squared error over all elements."""
-    from xgblora.lowrank import solve
-
     x = np.asarray(dataset.inputs, dtype=np.float64)
     y = np.asarray(dataset.targets, dtype=np.float64)
     gram = x.T @ x
     gram = gram + 1e-12 * np.eye(gram.shape[0]) * max(np.trace(gram), 1.0)
-    w_opt_t = solve(gram, x.T @ y)  # (d_in, d_out)
+    w_opt_t = np.linalg.solve(gram, x.T @ y)  # (d_in, d_out)
     resid = x @ w_opt_t - y
     loss_star = float((resid * resid).mean())
     return w_opt_t.T, loss_star

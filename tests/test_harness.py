@@ -18,7 +18,7 @@ from xgblora.cli import main
 from xgblora.config import ConfigFileError, RunConfig, parse_config, serialize_config
 from xgblora.lora import init_adapter_set
 from xgblora.models import build_mlp, build_transformer
-from xgblora.reporting import MetricsWriter, emit_report, svg_line_plot
+from xgblora.reporting import MetricsWriter, ReportError, emit_report, svg_line_plot
 from xgblora.tasks import gen_teacher_dataset
 from xgblora.tensor import Rng
 
@@ -247,6 +247,16 @@ class TestReporting:
         text = (tmp_path / "report.md").read_text()
         assert "No runs found" in text
 
+    def test_missing_dir_raises_before_writing(self, tmp_path, capsys):
+        missing, out = tmp_path / "nope", tmp_path / "out"
+        with pytest.raises(ReportError, match="nope"):
+            emit_report(str(missing), str(out))
+        for argv in (["report", str(missing)], ["report", str(missing), "--out-dir", str(out)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and str(missing) in err
+        assert not missing.exists() and not out.exists()
+
     def test_report_contains_runs(self, tmp_path):
         self._write_run(str(tmp_path), "lora-seed0", [1.0, 0.5, 0.25])
         self._write_run(str(tmp_path), "xgb-seed0", [1.0, 0.4, 0.1])
@@ -377,6 +387,24 @@ class TestCli:
                    "--dims", "4,4", "-K", "16", "--out-dir", str(tmp_path / "ft"), *flag])
         assert rc == 1
         assert flag[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["missing.xgbl", "a_directory"])
+    def test_train_unreadable_resume_exits_1(self, tmp_path, capsys, target):
+        (tmp_path / "a_directory").mkdir()
+        path, out = tmp_path / target, tmp_path / "run"
+        rc = main(["train", "--seed", "1", "-K", "16", "--out-dir", str(out), "--resume", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and str(path) in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_train_missing_config_exits_1(self, tmp_path, capsys):
+        path, out = tmp_path / "missing.cfg", tmp_path / "run"
+        rc = main(["train", "--config", str(path), "--seed", "1", "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and str(path) in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_default_settings_run(self, tmp_path):
         """The documented default invocation trains out of the box."""

@@ -58,11 +58,8 @@ class TestInit:
 
 def effective(model, pair):
     """The effective weight W0 + A@B that models.forward builds for
-    `pair`'s target, read back through forward(..., collect=)."""
-    collect = {}
-    x = np.ones((1, model.dims[0]))
-    mz.forward(model, x, adapters=AdapterSet({pair.target: pair}), collect=collect)
-    return collect[pair.target]
+    `pair`'s target."""
+    return mz._resolve_weights(model, AdapterSet({pair.target: pair}))[pair.target]
 
 
 class TestEffectiveWeight:

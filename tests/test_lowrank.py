@@ -70,37 +70,11 @@ class TestSvdTopr:
         err_sq = ((m - got.approx) ** 2).sum()
         assert err_sq == pytest.approx((s_np[3:] ** 2).sum(), rel=1e-6)
 
-    def test_smaller_side_limit_refused_at_once(self, monkeypatch):
-        def no_work(_):
-            raise AssertionError("Jacobi ran on a refused matrix")
-
-        monkeypatch.setattr(lr, "_jacobi_svd", no_work)
-        with pytest.raises(ValueError, match=r"256.*\(300, 300\)"):
-            lr.svd_topr(np.zeros((300, 300)), r=1)
-        with pytest.raises(ValueError, match="256"):
-            lr.svd_topr(np.zeros((300, 300)), 300).s
-
     def test_determinism(self):
         m = Rng(3).gaussian((700, 9))
         a = lr.svd_topr(m, r=2)
         b = lr.svd_topr(m, r=2)
         assert np.array_equal(a.approx, b.approx)
-
-
-class TestSolve:
-    def test_against_library(self):
-        a = Rng(1).gaussian((6, 6)) + 6 * np.eye(6)
-        b = Rng(2).gaussian((6,))
-        assert np.abs(lr.solve(a, b) - np.linalg.solve(a, b)).max() < 1e-10
-
-    def test_matrix_rhs(self):
-        a = Rng(3).gaussian((4, 4)) + 4 * np.eye(4)
-        b = Rng(4).gaussian((4, 2))
-        assert np.abs(lr.solve(a, b) - np.linalg.solve(a, b)).max() < 1e-10
-
-    def test_singular_rejected(self):
-        with pytest.raises(ValueError):
-            lr.solve(np.zeros((2, 2)), np.ones(2))
 
 
 class TestNnls:
@@ -134,20 +108,3 @@ class TestRSquared:
         y = np.array([1.0, 2.0, 3.0])
         assert lr.r_squared(y, np.full(3, 2.0)) == pytest.approx(0.0)
 
-
-class TestExtremalEigs:
-    def test_known_spectrum(self):
-        q = np.linalg.qr(Rng(8).gaussian((6, 6)))[0]
-        eigs = np.array([5.0, 3.0, 2.0, 1.0, 0.5, 0.25])
-        c = q @ np.diag(eigs) @ q.T
-        lam_max, lam_min = lr.symmetric_extremal_eigs(c)
-        assert lam_max == pytest.approx(5.0, rel=1e-6)
-        assert lam_min == pytest.approx(0.25, rel=1e-5)
-
-    def test_covariance_of_data(self):
-        x = Rng(10).gaussian((200, 5))
-        c = x.T @ x / 200
-        lam_max, lam_min = lr.symmetric_extremal_eigs(c)
-        w = np.linalg.eigvalsh(c)
-        assert lam_max == pytest.approx(w[-1], rel=1e-6)
-        assert lam_min == pytest.approx(w[0], rel=1e-4)
