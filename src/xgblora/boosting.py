@@ -111,8 +111,7 @@ class PairStats:
     target: str
     a_norm: float = 0.0
     b_norm: float = 0.0
-    a_update_norm: float = 0.0
-    b_update_norm: float = 0.0
+    a_update_norm: float = 0.0  # |A - A_init|_F; B starts at zero, so its update norm is b_norm
     grad_max: float = 0.0  # max over steps of max(|dL/dA|_F, |dL/dB|_F)
 
 
@@ -227,7 +226,6 @@ def train_booster(
             ps.a_norm = frobenius_norm(pair.a)
             ps.b_norm = frobenius_norm(pair.b)
             ps.a_update_norm = frobenius_norm(pair.a.data - a_init[str(wid)])
-            ps.b_update_norm = ps.b_norm  # B starts at exactly zero
     return trace
 
 

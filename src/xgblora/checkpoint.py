@@ -1,4 +1,4 @@
-"""Binary checkpoints: magic "XGBL", explicit version, little-endian float
+"""Binary checkpoints: magic "XGBL", explicit version, little-endian float64
 blocks keyed by weight id, optional live adapter set with its booster's
 trace, PRNG state, step counter, run config and dataset digest. Raw byte
 storage of the weight arrays makes save/load/resume bit-exact; a write is
@@ -6,10 +6,10 @@ atomic (temp file, then rename).
 
 Layout (all integers little-endian):
     magic   4s   "XGBL"
-    version u16  (currently 5; earlier versions are rejected. Version 4
-                 also stored a scale per pair and a tied-head flag in the
-                 spec, both dropped in 5)
-    dtype   u8   0 = f64, 1 = f32
+    version u16  (currently 6; earlier versions are rejected. Version 5
+                 also stored a dtype byte after the version, the activation,
+                 output map and dtype in the spec, and b_update_norm in the
+                 live trace's pair statistics, all dropped in 6)
     step    u64  global optimizer step
     booster u32  1-based index of the booster in progress (0 = none)
     rng     u64  generator state
@@ -18,7 +18,7 @@ Layout (all integers little-endian):
             when no boosting run wrote the file, e.g. full fine-tuning)
     data    u32 length + UTF-8 JSON (hex sha256 of the run's dataset, or null)
     n_weights u32, then per weight:
-        layer u16, role u8, ndim u8, dims u32 each, raw float bytes
+        layer u16, role u8, ndim u8, dims u32 each, raw <f8 bytes
     has_adapters u8; if 1:
         booster_index u32, n_pairs u32, then per pair:
             layer u16, role u8, rank u32,
@@ -42,7 +42,8 @@ from xgblora.lora import AdapterSet, LoraPair
 from xgblora.models import ModelSpec, Role, Tensor, WeightId, sort_key
 
 MAGIC = b"XGBL"
-VERSION = 5
+VERSION = 6
+_LE_F64 = "<f8"
 
 _ROLE_CODES = {role: i for i, role in enumerate(Role)}
 _CODE_ROLES = {i: role for role, i in _ROLE_CODES.items()}
@@ -88,22 +89,22 @@ def _read(fh, fmt):
     return struct.unpack("<" + fmt, buf)
 
 
-def _write_array(fh, arr: np.ndarray, dtype):
+def _write_array(fh, arr: np.ndarray):
     _write(fh, "B", arr.ndim)
     for d in arr.shape:
         _write(fh, "I", d)
-    fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    fh.write(np.ascontiguousarray(arr, dtype=_LE_F64).tobytes())
 
 
-def _read_array(fh, dtype) -> np.ndarray:
+def _read_array(fh) -> np.ndarray:
     (ndim,) = _read(fh, "B")
     shape = tuple(_read(fh, "I")[0] for _ in range(ndim))
     count = int(np.prod(shape)) if shape else 1
-    nbytes = count * np.dtype(dtype).itemsize
+    nbytes = count * 8
     buf = fh.read(nbytes)
     if len(buf) != nbytes:
         raise TruncatedCheckpoint(f"weight block truncated: wanted {nbytes}, got {len(buf)}")
-    return np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+    return np.frombuffer(buf, dtype=_LE_F64).astype(np.float64).reshape(shape)
 
 
 def _write_wid(fh, wid: WeightId):
@@ -151,11 +152,8 @@ def save_checkpoint(path, model: ModelSpec, step: int = 0, booster: int = 0,
 
 
 def _write_body(fh, model, step, booster, rng_state, adapters, config, data_sha256, trace):
-    dtype = np.dtype(model.dtype)
-    le_dtype = "<f4" if dtype == np.float32 else "<f8"
     fh.write(MAGIC)
     _write(fh, "H", VERSION)
-    _write(fh, "B", 1 if dtype == np.float32 else 0)
     _write(fh, "Q", step)
     _write(fh, "I", booster)
     _write(fh, "Q", rng_state)
@@ -166,7 +164,7 @@ def _write_body(fh, model, step, booster, rng_state, adapters, config, data_sha2
     _write(fh, "I", len(wids))
     for wid in wids:
         _write_wid(fh, wid)
-        _write_array(fh, model.weights[wid].data, le_dtype)
+        _write_array(fh, model.weights[wid].data)
     if adapters is None:
         _write(fh, "B", 0)
         return
@@ -179,9 +177,9 @@ def _write_body(fh, model, step, booster, rng_state, adapters, config, data_sha2
         pair = adapters.pairs[wid]
         _write_wid(fh, wid)
         _write(fh, "I", pair.r)
-        _write_array(fh, pair.a.data, le_dtype)
-        _write_array(fh, pair.b.data, le_dtype)
-        _write_array(fh, pair.a_init, le_dtype)
+        _write_array(fh, pair.a.data)
+        _write_array(fh, pair.b.data)
+        _write_array(fh, pair.a_init)
     _write_json(fh, trace)
 
 
@@ -195,9 +193,6 @@ def load_checkpoint(path) -> CheckpointState:
         (version,) = _read(fh, "H")
         if version != VERSION:
             raise VersionMismatch(f"checkpoint version {version}, supported {VERSION}")
-        (dtype_code,) = _read(fh, "B")
-        np_dtype = np.float32 if dtype_code == 1 else np.float64
-        le_dtype = "<f4" if dtype_code == 1 else "<f8"
         (step,) = _read(fh, "Q")
         (booster,) = _read(fh, "I")
         (rng_state,) = _read(fh, "Q")
@@ -208,8 +203,7 @@ def load_checkpoint(path) -> CheckpointState:
         weights = {}
         for _ in range(n_weights):
             wid = _read_wid(fh)
-            arr = _read_array(fh, le_dtype).astype(np_dtype)
-            weights[wid] = Tensor(arr, requires_grad=False, dtype=np_dtype)
+            weights[wid] = Tensor(_read_array(fh))
         model = ModelSpec.from_structure(structure, weights)
 
         (has_adapters,) = _read(fh, "B")
@@ -221,13 +215,11 @@ def load_checkpoint(path) -> CheckpointState:
             for _ in range(n_pairs):
                 wid = _read_wid(fh)
                 (rank,) = _read(fh, "I")
-                a = _read_array(fh, le_dtype).astype(np_dtype)
-                b = _read_array(fh, le_dtype).astype(np_dtype)
-                a_init = _read_array(fh, le_dtype).astype(np_dtype)
+                a, b, a_init = _read_array(fh), _read_array(fh), _read_array(fh)
                 pairs[wid] = LoraPair(
                     target=wid,
-                    a=Tensor(a, requires_grad=True, dtype=np_dtype),
-                    b=Tensor(b, requires_grad=True, dtype=np_dtype),
+                    a=Tensor(a, requires_grad=True),
+                    b=Tensor(b, requires_grad=True),
                     r=rank,
                     _a_init=a_init,
                 )

@@ -58,7 +58,6 @@ EXIT_PROBE_FAILED = 3
 
 def build_task(cfg: RunConfig):
     """(dataset, model, task-or-None) for the configured task."""
-    dtype = np.float32 if cfg.precision == "f32" else np.float64
     if cfg.task in ("teacher-matrix", "teacher-mlp"):
         dims = cfg.dims_list()
         data, task = gen_teacher_dataset(
@@ -70,29 +69,16 @@ def build_task(cfg: RunConfig):
             delta_scale=cfg.delta_scale,
             delta_kind=cfg.delta_kind,
         )
-        model = task.make_student()
-        if dtype == np.float32:
-            for w in model.weights.values():
-                w.data = w.data.astype(dtype)
-            model.dtype = dtype
-        return data, model, task
-    if cfg.task == "parity-seq":
-        data = gen_sequence_dataset("parity", seq_len=cfg.seq_len, n=cfg.n_examples, seed=cfg.seed)
-        vocab = 2
-    else:  # char-classify
-        data = gen_sequence_dataset(
-            "copy", seq_len=cfg.seq_len, n=cfg.n_examples, seed=cfg.seed, vocab=cfg.vocab
-        )
-        vocab = cfg.vocab
+        return data, task.make_student(), task
+    data = gen_sequence_dataset("parity", seq_len=cfg.seq_len, n=cfg.n_examples, seed=cfg.seed)
     model = build_transformer(
-        vocab=vocab,
+        vocab=2,
         d_model=cfg.d_model,
         n_layers=cfg.n_layers,
         n_heads=cfg.n_heads,
         d_ff=cfg.d_ff,
         rng=Rng(cfg.seed + 1),
         max_seq=cfg.seq_len,
-        dtype=dtype,
     )
     return data, model, None
 
@@ -142,7 +128,6 @@ def cmd_train(args) -> int:
         run = BoostRun.resume(state, data, bc)
     else:
         run = BoostRun.start(model, data, bc)
-    dtype_size = 4 if cfg.precision == "f32" else 8
     run_id = f"{cfg.method}-seed{cfg.seed}"
     metrics_path = os.path.join(cfg.out_dir, "metrics.csv")
     ckpt_path = os.path.join(cfg.out_dir, "checkpoint.xgbl")
@@ -160,7 +145,7 @@ def cmd_train(args) -> int:
                     model, data, total_steps=cfg.total_steps, eta=cfg.eta,
                     batch_size=cfg.batch_size, seed=cfg.seed,
                 )
-                mw.write_step(1, len(losses), losses[-1], model_update_bytes(model, dtype_size))
+                mw.write_step(1, len(losses), losses[-1], model_update_bytes(model))
             final = _final_train_loss(model, data)
             save_checkpoint(ckpt_path, model, step=len(losses))
             print(f"final loss {final:.6g}")
@@ -170,7 +155,7 @@ def cmd_train(args) -> int:
         counts = param_count(model, policy=cfg.policy, r=bc.rank)
         with MetricsWriter(metrics_path, run_id, counts["permille"], append=bool(args.resume)) as mw:
             def on_merge(trace):
-                nbytes = adapter_update_bytes(run.adapters, dtype_size)
+                nbytes = adapter_update_bytes(run.adapters)
                 if cfg.verbose_metrics:
                     first = run.global_step - len(trace.step_losses) + 1
                     for i, loss in enumerate(trace.step_losses):
@@ -183,7 +168,7 @@ def cmd_train(args) -> int:
     run.save(ckpt_path)
     status = "done" if run.done else f"paused at step {run.global_step}"
     print(f"{status}; train loss {final:.6g}")
-    if model.output_map == "softmax-ce":
+    if model.kind == "tiny_transformer":
         print(f"train accuracy {accuracy(model, data):.4f}")
     return EXIT_OK
 
@@ -402,7 +387,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float)
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--policy", choices=("qv", "all"))
-    p.add_argument("--task", choices=("teacher-matrix", "teacher-mlp", "parity-seq", "char-classify"))
+    p.add_argument("--task", choices=("teacher-matrix", "teacher-mlp", "parity-seq"))
     p.add_argument("--dims")
     p.add_argument("--noise", type=float)
     p.add_argument("--n-examples", type=int, dest="n_examples")
@@ -411,7 +396,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-layers", type=int, dest="n_layers")
     p.add_argument("--n-heads", type=int, dest="n_heads")
     p.add_argument("--d-ff", type=int, dest="d_ff")
-    p.add_argument("--precision", choices=("f64", "f32"))
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--stop-after-step", type=int)
     p.add_argument("--resume", help="checkpoint to resume from")

@@ -32,21 +32,19 @@ class RunConfig:
     policy: str = "qv"
     seed: int = 0
     # task
-    task: str = "teacher-matrix"  # teacher-matrix | teacher-mlp | parity-seq | char-classify
+    task: str = "teacher-matrix"  # teacher-matrix | teacher-mlp | parity-seq
     dims: str = "8,8"  # mlp dims, comma separated
     noise: float = 0.0
     delta_scale: float = 1.0
     delta_kind: str = "gaussian"
     n_examples: int = 128
     seq_len: int = 8
-    vocab: int = 2
     # model (transformer tasks)
     d_model: int = 32
     n_layers: int = 2
     n_heads: int = 4
     d_ff: int = 64
     # run plumbing
-    precision: str = "f64"  # f64 | f32
     out_dir: str = "runs/out"
     verbose_metrics: bool = False
 
@@ -55,10 +53,8 @@ class RunConfig:
         checked by BoostConfig and boosting.check_sgd."""
         if self.method not in ("xgblora", "lora", "full-ft"):
             raise ConfigFileError(f"method: unknown value {self.method!r}")
-        if self.task not in ("teacher-matrix", "teacher-mlp", "parity-seq", "char-classify"):
+        if self.task not in ("teacher-matrix", "teacher-mlp", "parity-seq"):
             raise ConfigFileError(f"task: unknown value {self.task!r}")
-        if self.precision not in ("f64", "f32"):
-            raise ConfigFileError(f"precision: must be f64 or f32, got {self.precision!r}")
         if self.n_examples < 1:
             raise ConfigFileError(f"n_examples: must be >= 1, got {self.n_examples}")
         return self

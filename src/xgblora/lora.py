@@ -77,8 +77,8 @@ def init_adapter(model: ModelSpec, target: WeightId, r: int, rng: Rng) -> LoraPa
     a = rng.gaussian((d, r)) * (0.01 / np.sqrt(r))
     pair = LoraPair(
         target=target,
-        a=Tensor(a.astype(model.dtype), requires_grad=True, dtype=model.dtype),
-        b=Tensor(np.zeros((r, k), dtype=model.dtype), requires_grad=True, dtype=model.dtype),
+        a=Tensor(a, requires_grad=True),
+        b=Tensor(np.zeros((r, k)), requires_grad=True),
         r=r,
     )
     return pair
@@ -118,7 +118,7 @@ def merge_adapters(model: ModelSpec, adapters: AdapterSet) -> ModelSpec:
                 f"adapter for {wid} has shape A{pair.a.data.shape} B{pair.b.data.shape}, "
                 f"target is {w.data.shape}"
             )
-        w.data = w.data + pair.delta().astype(model.dtype)
+        w.data = w.data + pair.delta()
     adapters.merged = True
     return model
 

@@ -1,10 +1,11 @@
 """Small networks with individually addressable weight matrices.
 
-Two model kinds: an L-layer MLP (first layer linear, middle layers
-activated, last layer feeding the output map) and a tiny decoder-style
-transformer with pre-norm residual blocks, learned positional embeddings
-and causal masking. All weights live in a flat {WeightId: Tensor} map so
-adapters can target any matrix.
+Two model kinds, each with a fixed activation and loss: an L-layer MLP
+(first and last layers linear, middle layers relu, mean squared error) and
+a tiny decoder-style transformer with pre-norm residual blocks, gelu
+feed-forward layers, learned positional embeddings, causal masking and
+cross-entropy on the last position. All weights are float64 and live in a
+flat {WeightId: Tensor} map so adapters can target any matrix.
 """
 
 from __future__ import annotations
@@ -71,10 +72,8 @@ def sort_key(wid: WeightId):
 class ModelSpec:
     """A layered network: structural parameters plus the weight map."""
 
-    kind: str  # "mlp" | "tiny_transformer"
+    kind: str  # "mlp" (relu, mse) | "tiny_transformer" (gelu, cross-entropy)
     layers: int
-    activation: str  # "relu" | "gelu"
-    output_map: str  # "identity-mse" | "softmax-ce"
     weights: dict[WeightId, Tensor]
     dims: Optional[list[int]] = None  # mlp only
     vocab: Optional[int] = None
@@ -82,22 +81,18 @@ class ModelSpec:
     n_heads: Optional[int] = None
     d_ff: Optional[int] = None
     max_seq: Optional[int] = None
-    dtype: np.dtype = np.float64
 
     def structure(self) -> dict:
         """JSON-serializable structural description (no weight values)."""
         return {
             "kind": self.kind,
             "layers": self.layers,
-            "activation": self.activation,
-            "output_map": self.output_map,
             "dims": self.dims,
             "vocab": self.vocab,
             "d_model": self.d_model,
             "n_heads": self.n_heads,
             "d_ff": self.d_ff,
             "max_seq": self.max_seq,
-            "dtype": "f32" if np.dtype(self.dtype) == np.float32 else "f64",
         }
 
     @classmethod
@@ -105,8 +100,6 @@ class ModelSpec:
         return cls(
             kind=s["kind"],
             layers=s["layers"],
-            activation=s["activation"],
-            output_map=s["output_map"],
             weights=weights,
             dims=s.get("dims"),
             vocab=s.get("vocab"),
@@ -114,15 +107,11 @@ class ModelSpec:
             n_heads=s.get("n_heads"),
             d_ff=s.get("d_ff"),
             max_seq=s.get("max_seq"),
-            dtype=np.float32 if s.get("dtype") == "f32" else np.float64,
         )
 
     def copy(self) -> "ModelSpec":
         """Deep copy of weights; structure shared by value."""
-        weights = {
-            wid: Tensor(w.data.copy(), requires_grad=False, dtype=self.dtype)
-            for wid, w in self.weights.items()
-        }
+        weights = {wid: Tensor(w.data.copy()) for wid, w in self.weights.items()}
         return ModelSpec.from_structure(self.structure(), weights)
 
     def total_params(self) -> int:
@@ -179,14 +168,13 @@ class Batch:
         return len(self.inputs)
 
 
-def _gauss_init(rng: Rng, shape, dtype) -> Tensor:
+def _gauss_init(rng: Rng, shape) -> Tensor:
     """Gaussian scale 1/sqrt(fan_in); fan_in is the trailing dim."""
     fan_in = shape[-1]
-    w = rng.gaussian(shape) / math.sqrt(fan_in)
-    return Tensor(w.astype(dtype), requires_grad=False, dtype=dtype)
+    return Tensor(rng.gaussian(shape) / math.sqrt(fan_in))
 
 
-def build_mlp(dims, activation="relu", output_map="identity-mse", rng=None, dtype=np.float64) -> ModelSpec:
+def build_mlp(dims, rng=None) -> ModelSpec:
     """L-layer MLP from dims=[d0, d1, ..., dL]; weight i is (d_i, d_{i-1})."""
     dims = list(dims)
     if len(dims) < 2:
@@ -194,16 +182,8 @@ def build_mlp(dims, activation="relu", output_map="identity-mse", rng=None, dtyp
     rng = rng or Rng(0)
     weights = {}
     for i in range(1, len(dims)):
-        weights[WeightId(i, Role.MLP_DENSE)] = _gauss_init(rng, (dims[i], dims[i - 1]), dtype)
-    return ModelSpec(
-        kind="mlp",
-        layers=len(dims) - 1,
-        activation=activation,
-        output_map=output_map,
-        weights=weights,
-        dims=dims,
-        dtype=dtype,
-    )
+        weights[WeightId(i, Role.MLP_DENSE)] = _gauss_init(rng, (dims[i], dims[i - 1]))
+    return ModelSpec(kind="mlp", layers=len(dims) - 1, weights=weights, dims=dims)
 
 
 def build_transformer(
@@ -214,8 +194,6 @@ def build_transformer(
     d_ff,
     rng=None,
     max_seq=64,
-    activation="gelu",
-    dtype=np.float64,
 ) -> ModelSpec:
     """Decoder-only transformer: per block AttnQ/K/V/O (d_model square) and
     FfnUp (d_ff, d_model) / FfnDown (d_model, d_ff), plus embedding, learned
@@ -224,28 +202,25 @@ def build_transformer(
         raise ValueError(f"d_model={d_model} not divisible by n_heads={n_heads}")
     rng = rng or Rng(0)
     weights = {}
-    weights[WeightId(1, Role.EMBEDDING)] = _gauss_init(rng, (vocab, d_model), dtype)
-    weights[WeightId(1, Role.POS_EMBEDDING)] = _gauss_init(rng, (max_seq, d_model), dtype)
+    weights[WeightId(1, Role.EMBEDDING)] = _gauss_init(rng, (vocab, d_model))
+    weights[WeightId(1, Role.POS_EMBEDDING)] = _gauss_init(rng, (max_seq, d_model))
     for l in range(1, n_layers + 1):
-        weights[WeightId(l, Role.ATTN_Q)] = _gauss_init(rng, (d_model, d_model), dtype)
-        weights[WeightId(l, Role.ATTN_K)] = _gauss_init(rng, (d_model, d_model), dtype)
-        weights[WeightId(l, Role.ATTN_V)] = _gauss_init(rng, (d_model, d_model), dtype)
-        weights[WeightId(l, Role.ATTN_O)] = _gauss_init(rng, (d_model, d_model), dtype)
-        weights[WeightId(l, Role.FFN_UP)] = _gauss_init(rng, (d_ff, d_model), dtype)
-        weights[WeightId(l, Role.FFN_DOWN)] = _gauss_init(rng, (d_model, d_ff), dtype)
-    weights[WeightId(n_layers, Role.OUTPUT)] = _gauss_init(rng, (vocab, d_model), dtype)
+        weights[WeightId(l, Role.ATTN_Q)] = _gauss_init(rng, (d_model, d_model))
+        weights[WeightId(l, Role.ATTN_K)] = _gauss_init(rng, (d_model, d_model))
+        weights[WeightId(l, Role.ATTN_V)] = _gauss_init(rng, (d_model, d_model))
+        weights[WeightId(l, Role.ATTN_O)] = _gauss_init(rng, (d_model, d_model))
+        weights[WeightId(l, Role.FFN_UP)] = _gauss_init(rng, (d_ff, d_model))
+        weights[WeightId(l, Role.FFN_DOWN)] = _gauss_init(rng, (d_model, d_ff))
+    weights[WeightId(n_layers, Role.OUTPUT)] = _gauss_init(rng, (vocab, d_model))
     return ModelSpec(
         kind="tiny_transformer",
         layers=n_layers,
-        activation=activation,
-        output_map="softmax-ce",
         weights=weights,
         vocab=vocab,
         d_model=d_model,
         n_heads=n_heads,
         d_ff=d_ff,
         max_seq=max_seq,
-        dtype=dtype,
     )
 
 
@@ -297,22 +272,17 @@ def _resolve_weights(model: ModelSpec, adapters):
     return eff
 
 
-def _activate(h: Tensor, activation: str) -> Tensor:
-    return relu(h) if activation == "relu" else gelu(h)
-
-
 def _mlp_forward(model: ModelSpec, x: Tensor, eff) -> Tensor:
     h = matmul(x, transpose(eff[WeightId(1, Role.MLP_DENSE)]))
     for i in range(2, model.layers):
-        h = _activate(matmul(h, transpose(eff[WeightId(i, Role.MLP_DENSE)])), model.activation)
+        h = relu(matmul(h, transpose(eff[WeightId(i, Role.MLP_DENSE)])))
     if model.layers >= 2:
         h = matmul(h, transpose(eff[WeightId(model.layers, Role.MLP_DENSE)]))
     return h
 
 
-def _causal_mask(seq, dtype) -> Tensor:
-    m = np.triu(np.full((seq, seq), ATTN_MASK_NEG, dtype=dtype), k=1)
-    return Tensor(m, requires_grad=False, dtype=dtype)
+def _causal_mask(seq) -> Tensor:
+    return Tensor(np.triu(np.full((seq, seq), ATTN_MASK_NEG), k=1))
 
 
 def _transformer_forward(model: ModelSpec, ids: np.ndarray, eff) -> Tensor:
@@ -325,7 +295,7 @@ def _transformer_forward(model: ModelSpec, ids: np.ndarray, eff) -> Tensor:
     tok = embedding(eff[WeightId(1, Role.EMBEDDING)], ids)
     pos = embedding(eff[WeightId(1, Role.POS_EMBEDDING)], np.arange(seq))
     x = tok + pos
-    mask = _causal_mask(seq, model.dtype)
+    mask = _causal_mask(seq)
 
     for l in range(1, model.layers + 1):
         a = layer_norm(x)
@@ -342,7 +312,7 @@ def _transformer_forward(model: ModelSpec, ids: np.ndarray, eff) -> Tensor:
         x = x + matmul(ctx, transpose(eff[WeightId(l, Role.ATTN_O)]))
 
         a2 = layer_norm(x)
-        h = _activate(matmul(a2, transpose(eff[WeightId(l, Role.FFN_UP)])), model.activation)
+        h = gelu(matmul(a2, transpose(eff[WeightId(l, Role.FFN_UP)])))
         x = x + matmul(h, transpose(eff[WeightId(l, Role.FFN_DOWN)]))
 
     x = layer_norm(x)
@@ -355,7 +325,7 @@ def forward(model: ModelSpec, batch, adapters=None) -> Tensor:
     inputs = batch.inputs if isinstance(batch, Batch) else batch
     eff = _resolve_weights(model, adapters)
     if model.kind == "mlp":
-        x = inputs if isinstance(inputs, Tensor) else Tensor(np.asarray(inputs), dtype=model.dtype)
+        x = inputs if isinstance(inputs, Tensor) else Tensor(inputs)
         if x.data.shape[-1] != model.dims[0]:
             raise ShapeError(f"input dim {x.data.shape[-1]} does not match model dim {model.dims[0]}")
         return _mlp_forward(model, x, eff)
@@ -369,21 +339,18 @@ def _pool_last(logits: Tensor) -> Tensor:
     """Select the final sequence position via mask-multiply + sum, keeping
     the op set closed."""
     b, seq, _ = logits.data.shape
-    m = np.zeros((seq, 1), dtype=logits.dtype)
+    m = np.zeros((seq, 1))
     m[-1, 0] = 1.0
-    picked = mul(logits, Tensor(m, dtype=logits.dtype))
+    picked = mul(logits, Tensor(m))
     return tsum(picked, axis=1)
 
 
 def task_loss(model: ModelSpec, logits: Tensor, targets) -> Tensor:
-    """Output map: mean cross-entropy for softmax-ce (last position on
-    sequences), mean squared error for identity-mse."""
-    if model.output_map == "softmax-ce":
-        if logits.data.ndim == 3:
-            logits = _pool_last(logits)
-        return cross_entropy_logits(logits, np.asarray(targets))
-    tgt = np.asarray(targets, dtype=model.dtype)
-    return mse(logits, tgt)
+    """The model kind's loss: mean squared error for an MLP, mean
+    cross-entropy at the last position for the transformer."""
+    if model.kind == "mlp":
+        return mse(logits, targets)
+    return cross_entropy_logits(_pool_last(logits), np.asarray(targets))
 
 
 def batch_loss(model: ModelSpec, batch: Batch, adapters=None, lam=0.0) -> Tensor:
@@ -409,7 +376,7 @@ def loss_eval(model: ModelSpec, dataset: Dataset, adapters=None, lam=0.0) -> flo
 
 
 def accuracy(model: ModelSpec, dataset: Dataset) -> float:
-    """Classification accuracy (softmax-ce models only)."""
+    """Classification accuracy (transformers only)."""
     logits = forward(model, dataset.full_batch())
     z = logits.data
     if z.ndim == 3:

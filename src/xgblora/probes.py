@@ -176,7 +176,7 @@ def quadratic_curvature(data: Dataset) -> tuple[float, float]:
 
 def _single_matrix_wid(model: ModelSpec) -> WeightId:
     wids = list_adaptable_weights(model)
-    if model.kind != "mlp" or model.layers != 1 or model.output_map != "identity-mse":
+    if model.kind != "mlp" or model.layers != 1:
         raise ValueError(
             "probe restricted to strongly convex tasks: need a single-matrix linear model"
         )
@@ -298,15 +298,15 @@ def update_norm_probe(traces_with_eta) -> ProbeReport:
             point = GridPoint(params={"t": trace.t, "target": name, "kappa": trace.steps})
             if bound == 0.0:
                 ratio_a = ratio_b = 0.0
-                ok = ps.a_update_norm == 0.0 and ps.b_update_norm == 0.0
+                ok = ps.a_update_norm == 0.0 and ps.b_norm == 0.0
             else:
                 ratio_a = ps.a_update_norm / bound
-                ratio_b = ps.b_update_norm / bound
+                ratio_b = ps.b_norm / bound
                 ok = ratio_a <= 1.0 + 1e-9 and ratio_b <= 1.0 + 1e-9
             point.values.append(max(ratio_a, ratio_b))
             point.extras["bound"] = [bound]
             point.extras["a_update_norm"] = [ps.a_update_norm]
-            point.extras["b_norm"] = [ps.b_update_norm]
+            point.extras["b_norm"] = [ps.b_norm]
             report.points.append(point)
             violations += 0 if ok else 1
     report.checks["zero_violations"] = violations == 0
@@ -378,7 +378,7 @@ def model_grad_fn(model: ModelSpec, data: Dataset, wid: WeightId) -> Callable:
 
     def grad_at(w_value: np.ndarray) -> np.ndarray:
         saved = model.weights[wid].data
-        model.weights[wid].data = np.asarray(w_value, dtype=model.dtype)
+        model.weights[wid].data = np.asarray(w_value)
         model.weights[wid].requires_grad = True
         try:
             loss = batch_loss(model, data.full_batch())

@@ -32,18 +32,21 @@ class ReportError(ValueError):
     """Schema problem in an input CSV; message names the column or file."""
 
 
-def adapter_update_bytes(adapters, dtype_size: int = 8) -> int:
+FLOAT64_BYTES = 8
+
+
+def adapter_update_bytes(adapters) -> int:
     """Live trainable bytes: adapter parameters plus their gradients,
     computed analytically from shapes."""
     if adapters is None:
         return 0
     n = sum(p.a.data.size + p.b.data.size for p in adapters.pairs.values())
-    return 2 * n * dtype_size
+    return 2 * n * FLOAT64_BYTES
 
 
-def model_update_bytes(model, dtype_size: int = 8) -> int:
+def model_update_bytes(model) -> int:
     n = sum(w.data.size for w in model.weights.values())
-    return 2 * n * dtype_size
+    return 2 * n * FLOAT64_BYTES
 
 
 @dataclass

@@ -17,7 +17,7 @@ from xgblora.models import Dataset, ModelSpec, build_mlp, forward
 from xgblora.tensor import Rng
 
 TEACHER_KINDS = ("teacher-matrix", "teacher-mlp")
-SEQUENCE_KINDS = ("parity", "copy")
+SEQUENCE_KINDS = ("parity",)
 
 
 @dataclass
@@ -93,7 +93,7 @@ def gen_teacher_dataset(
     if kind == "teacher-matrix" and len(dims) != 2:
         raise ValueError(f"teacher-matrix needs dims [d_in, d_out], got {dims}")
     rng = Rng(seed)
-    start = build_mlp(dims, output_map="identity-mse", rng=rng)
+    start = build_mlp(dims, rng=rng)
     teacher = start.copy()
     for wid, w in teacher.weights.items():
         fan_in = w.data.shape[1]
@@ -110,13 +110,12 @@ def gen_teacher_dataset(
     return Dataset(x, y), task
 
 
-def gen_sequence_dataset(task: str, seq_len: int, n: int, seed: int = 0, vocab: int = 2) -> Dataset:
+def gen_sequence_dataset(task: str, seq_len: int, n: int, seed: int = 0) -> Dataset:
     """Integer token sequences with classification targets, class-balanced
     within one example by construction.
 
-    parity: tokens in {0,1}, label = XOR of all tokens; the final token is
-    chosen to force the label, the rest are random.
-    copy: label = the first token; first tokens cycle through the vocab.
+    parity, the one task: tokens in {0,1}, label = XOR of all tokens; the
+    final token is chosen to force the label, the rest are random.
     """
     if task not in SEQUENCE_KINDS:
         raise ValueError(f"unknown sequence task {task!r}")
@@ -125,18 +124,12 @@ def gen_sequence_dataset(task: str, seq_len: int, n: int, seed: int = 0, vocab: 
     if n < 1:
         raise ValueError(f"dataset size must be >= 1, got {n}")
     rng = Rng(seed)
-    if task == "parity":
-        # row i's label is i % 2 (exact balance up to one example); the
-        # final token is the one that makes the XOR of the row equal it
-        bits = rng.randint_array(2, n * (seq_len - 1)).reshape(n, seq_len - 1)
-        labels = np.arange(n, dtype=np.int64) % 2
-        last = (labels - bits.sum(axis=1)) % 2
-        seqs = np.concatenate([bits, last[:, None]], axis=1)
-        return Dataset(seqs, labels)
-
-    rest = rng.randint_array(vocab, n * (seq_len - 1)).reshape(n, seq_len - 1)
-    labels = np.arange(n, dtype=np.int64) % vocab
-    seqs = np.concatenate([labels[:, None], rest], axis=1)
+    # row i's label is i % 2 (exact balance up to one example); the final
+    # token is the one that makes the XOR of the row equal it
+    bits = rng.randint_array(2, n * (seq_len - 1)).reshape(n, seq_len - 1)
+    labels = np.arange(n, dtype=np.int64) % 2
+    last = (labels - bits.sum(axis=1)) % 2
+    seqs = np.concatenate([bits, last[:, None]], axis=1)
     return Dataset(seqs, labels)
 
 

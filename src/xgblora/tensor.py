@@ -1,13 +1,12 @@
-"""Dense tensors with reverse-mode autodiff, a splittable PRNG, and a
+"""Dense tensors with reverse-mode autodiff, a splitmix64 PRNG, and a
 finite-difference gradient oracle.
 
 The op set is deliberately small: matmul, transpose, add/sub/mul, scalar
 ops, relu, gelu (tanh form), row softmax, layer norm, embedding gather,
-reshape, sum/mean, cross-entropy-with-logits, mse. Everything runs on
-contiguous float64 arrays by default; float32 is selectable per run.
-Fixed seed and dtype give bit-identical runs. A test pins that a short
-parity fit ends on the same weight bits with OpenBLAS on one thread and
-on two; other BLAS builds and thread counts are not checked.
+reshape, sum/mean, cross-entropy-with-logits, mse. Tensor data is always
+float64, the one precision; a fixed seed gives bit-identical runs. A test
+pins that a short parity fit ends on the same weight bits with OpenBLAS on
+one thread and on two; other BLAS builds and thread counts are not checked.
 """
 
 from __future__ import annotations
@@ -30,15 +29,15 @@ class GraphError(ValueError):
     """Autodiff graph misuse (non-scalar loss, detached node, ...)."""
 
 
-def _as_array(data, dtype):
-    arr = np.asarray(data, dtype=dtype)
+def _as_array(data):
+    arr = np.asarray(data, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("tensor data must be finite (got NaN/Inf)")
     return arr
 
 
 class Tensor:
-    """N-d float array plus an optional gradient slot.
+    """N-d float64 array plus an optional gradient slot.
 
     Ops record a backward closure and parent links; `backward()` walks the
     implicit graph in reverse topological order exactly once per node.
@@ -46,8 +45,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_backward", "_prev")
 
-    def __init__(self, data, requires_grad=False, dtype=np.float64):
-        self.data = _as_array(data, dtype)
+    def __init__(self, data, requires_grad=False):
+        self.data = _as_array(data)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._backward = None
@@ -70,10 +69,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
 
     def item(self):
         if self.data.size != 1:
@@ -155,10 +150,8 @@ def _unbroadcast(grad, shape):
     return grad
 
 
-def _coerce(x, like):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.dtype), requires_grad=False, dtype=like.dtype)
+def _coerce(x):
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -191,7 +184,7 @@ def transpose(t: Tensor, ax1=-2, ax2=-1) -> Tensor:
 
 
 def add(a: Tensor, b) -> Tensor:
-    b = _coerce(b, a)
+    b = _coerce(b)
     out_data = a.data + b.data
 
     def _bw():
@@ -206,7 +199,7 @@ def add(a: Tensor, b) -> Tensor:
 
 
 def sub(a: Tensor, b) -> Tensor:
-    b = _coerce(b, a)
+    b = _coerce(b)
     out_data = a.data - b.data
 
     def _bw():
@@ -350,7 +343,7 @@ def tsum(t: Tensor, axis=None, keepdims=False) -> Tensor:
 
 def mse(pred: Tensor, target) -> Tensor:
     """Mean over all elements of (pred − target)²."""
-    tgt = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=pred.dtype)
+    tgt = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=np.float64)
     if tgt.shape != pred.data.shape:
         raise ShapeError(f"mse shapes disagree: {pred.shape} vs {tgt.shape}")
     diff = pred.data - tgt
@@ -447,7 +440,7 @@ def _mix(z):
 
 
 class Rng:
-    """Splittable deterministic generator over a single 64-bit state."""
+    """Deterministic splitmix64 generator over a single 64-bit state."""
 
     __slots__ = ("state",)
 
@@ -512,7 +505,3 @@ class Rng:
         n64 = np.uint64(n)
         low = ((u & np.uint64(0xFFFFFFFF)) * n64) >> np.uint64(32)
         return (((u >> np.uint64(32)) * n64 + low) >> np.uint64(32)).astype(np.int64)
-
-    def split(self) -> "Rng":
-        """Child generator seeded from one draw of this stream."""
-        return Rng(self.next_u64())

@@ -232,7 +232,10 @@ class TestCriterion05TruncationOracle:
             r = 1 + rng.randint(min(m, n))
             got = lowrank.svd_topr(mat, r)
             err_sq = float(((mat - got.approx) ** 2).sum())
-            s_oracle = np.linalg.svd(mat, compute_uv=False)  # independent path
+            # the same LAPACK routine as svd_topr: the independent checks are the
+            # reconstruction error equal to the tail, orthonormal factors,
+            # ordering and the norm identity
+            s_oracle = np.linalg.svd(mat, compute_uv=False)
             tail_oracle = float((s_oracle[r:] ** 2).sum())
             assert err_sq == pytest.approx(tail_oracle, rel=1e-8, abs=1e-10)
             assert err_sq == pytest.approx(got.tail_sq, rel=1e-8, abs=1e-10)

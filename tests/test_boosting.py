@@ -146,8 +146,8 @@ class TestTrainBooster:
         for ps in trace.pair_stats.values():
             bound = eta * kappa * ps.grad_max
             assert ps.a_update_norm <= bound * (1 + 1e-9)
-            assert ps.b_update_norm <= bound * (1 + 1e-9)
-            assert ps.b_update_norm > 0  # the booster actually moved
+            assert ps.b_norm <= bound * (1 + 1e-9)  # B starts at zero
+            assert ps.b_norm > 0  # the booster actually moved
 
     def test_merged_adapters_rejected(self):
         model, data = quadratic_setup()

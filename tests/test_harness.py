@@ -104,8 +104,9 @@ class TestCheckpoint:
         path = tmp_path / "v.xgbl"
         # 1: before the run config was stored; 2: before the data digest and live trace;
         # 3: the live trace's pair statistics still carry grad_eff_max;
-        # 4: each adapter pair still carries its scale alpha
-        for version in (99, 1, 2, 3, 4):
+        # 4: each adapter pair still carries its scale alpha;
+        # 5: a dtype byte, and activation, output map and dtype in the spec
+        for version in (99, 1, 2, 3, 4, 5):
             save_checkpoint(path, small_model())
             raw = bytearray(path.read_bytes())
             raw[4:6] = version.to_bytes(2, "little")
@@ -128,11 +129,11 @@ class TestCheckpoint:
         before = path.read_bytes()
         real, calls = ck._write_array, []
 
-        def failing(fh, arr, dtype):
+        def failing(fh, arr):
             calls.append(1)
             if len(calls) == 2:
                 raise OSError("disk full")
-            real(fh, arr, dtype)
+            real(fh, arr)
 
         monkeypatch.setattr(ck, "_write_array", failing)
         with pytest.raises(OSError, match="disk full"):
@@ -152,15 +153,6 @@ class TestCheckpoint:
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(TruncatedCheckpoint):
             load_checkpoint(path)
-
-    def test_f32_round_trip(self, tmp_path):
-        model = build_mlp([4, 4], rng=Rng(1), dtype=np.float32)
-        path = tmp_path / "f32.xgbl"
-        save_checkpoint(path, model)
-        loaded = load_checkpoint(path).model
-        assert loaded.dtype == np.float32
-        wid = mz.WeightId(1, mz.Role.MLP_DENSE)
-        assert np.array_equal(loaded.weights[wid].data, model.weights[wid].data)
 
 
 class TestResume:
@@ -294,9 +286,11 @@ class TestCli:
         assert exc.value.code == 2
 
     def test_unknown_flag_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["train", "--seed", "1", "--warp-speed", "9"])
-        assert exc.value.code == 2
+        # float64 is the only precision, and parity-seq the only sequence task
+        for argv in (["--warp-speed", "9"], ["--precision", "f32"], ["--task", "char-classify"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["train", "--seed", "1", *argv])
+            assert exc.value.code == 2, argv
 
     def test_seed_mandatory_for_train(self):
         with pytest.raises(SystemExit) as exc:
@@ -334,11 +328,18 @@ class TestCli:
         assert main(["report", out_dir]) == 0
         assert os.path.exists(os.path.join(out_dir, "report.md"))
 
-    def test_train_invalid_config_exits_1(self, tmp_path):
+    def test_train_invalid_config_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("rank=0\n")
         rc = main(["train", "--config", str(bad), "--seed", "1"])
         assert rc == 1
+        # every run.cfg written while a precision could be chosen has this line
+        bad.write_text("precision=f64\n")
+        capsys.readouterr()
+        rc = main(["train", "--config", str(bad), "--seed", "1", "--out-dir", str(tmp_path / "old")])
+        assert rc == 1
+        assert "precision" in capsys.readouterr().err
+        assert not (tmp_path / "old").exists()
         rc = main(["train", "--method", "full-ft", "--batch-size", "0", "--seed", "1",
                    "--out-dir", str(tmp_path / "ft")])
         assert rc == 1

@@ -228,21 +228,6 @@ class TestParamCount:
         assert got["trainable"] == expected
 
 
-class TestMergeEquivalenceF32:
-    def test_f32_tolerance(self):
-        m = build_mlp([6, 10, 4], rng=Rng(5), dtype=np.float32)
-        adapters = init_adapter_set(m, mz.list_adaptable_weights(m), r=2, rng=Rng(2))
-        for pair in adapters.pairs.values():
-            pair.b.data = (Rng(8).gaussian(pair.b.shape) * 0.3).astype(np.float32)
-        x = Rng(3).gaussian((7, 6)).astype(np.float32)
-        adapted = mz.forward(m, Tensor(x, dtype=np.float32), adapters=adapters).data.copy()
-        merge_adapters(m, adapters)
-        merged = mz.forward(m, Tensor(x, dtype=np.float32)).data
-        assert merged.dtype == np.float32
-        denom = max(np.abs(merged).max(), 1e-6)
-        assert np.abs(adapted - merged).max() / denom <= 1e-5
-
-
 class TestBirthNeutrality:
     def test_init_then_merge_any_set_is_noop(self):
         for seed in range(5):

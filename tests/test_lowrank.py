@@ -43,7 +43,9 @@ class TestSvdTopr:
             assert err_sq == pytest.approx(got.tail_sq, rel=1e-8, abs=1e-12)
 
     def test_matches_library_svd_oracle(self):
-        # cross-check against an independent decomposition path
+        # the same LAPACK routine as svd_topr, so this pins the wrapper only; the
+        # independent checks are the reconstruction error equal to the tail,
+        # orthonormal factors, ordering and the norm identity
         m = Rng(4).gaussian((30, 22))
         s_mine = lr.svd_topr(m, min(m.shape)).s
         s_np = np.linalg.svd(m, compute_uv=False)

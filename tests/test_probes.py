@@ -89,7 +89,7 @@ class TestUpdateNormProbe:
         for (trace, eta) in corpus:
             for ps in trace.pair_stats.values():
                 assert ps.a_update_norm == 0.0  # dA = grad @ B0ᵀ = 0 at the only step
-                assert ps.b_update_norm == pytest.approx(eta * 1 * ps.grad_max, rel=1e-12)
+                assert ps.b_norm == pytest.approx(eta * 1 * ps.grad_max, rel=1e-12)
 
     def test_g_max_recorded(self):
         corpus = run_booster_corpus(r_values=(1,), kappa_values=(8,), boosters_per_config=2)
