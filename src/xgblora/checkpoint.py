@@ -1,30 +1,23 @@
-"""Binary checkpoints: magic "XGBL", explicit version, little-endian float64
-blocks keyed by weight id, optional live adapter set with its booster's
-trace, PRNG state, step counter, run config and dataset digest. Raw byte
-storage of the weight arrays makes save/load/resume bit-exact; a write is
-atomic (temp file, then rename).
+"""Checkpoints: the uncompressed ZIP of `.npy` entries that `np.savez` writes,
+read with `np.load(path, allow_pickle=False)`. Each entry's CRC-32 makes a
+torn or corrupted file fail to load; raw float64 entries make resume
+bit-exact; entries are dated 1980-01-01, so one state writes the same bytes;
+a write is atomic (temp file, then rename).
 
-Layout (all integers little-endian):
-    magic   4s   "XGBL"
-    version u16  (currently 6; earlier versions are rejected. Version 5
-                 also stored a dtype byte after the version, the activation,
-                 output map and dtype in the spec, and b_update_norm in the
-                 live trace's pair statistics, all dropped in 6)
-    step    u64  global optimizer step
-    booster u32  1-based index of the booster in progress (0 = none)
-    rng     u64  generator state
-    spec    u32 length + UTF-8 JSON (model structure)
-    config  u32 length + UTF-8 JSON (the run's BoostConfig fields, or null
-            when no boosting run wrote the file, e.g. full fine-tuning)
-    data    u32 length + UTF-8 JSON (hex sha256 of the run's dataset, or null)
-    n_weights u32, then per weight:
-        layer u16, role u8, ndim u8, dims u32 each, raw <f8 bytes
-    has_adapters u8; if 1:
-        booster_index u32, n_pairs u32, then per pair:
-            layer u16, role u8, rank u32,
-            A block (ndim/dims/raw), B block, A-init block
-        trace u32 length + UTF-8 JSON (the live booster's step losses and
-            per-pair statistics so far, or null)
+Entries (a weight id `wid` is written as `str(wid)`, e.g. `L0.attn_q`):
+    meta       one JSON string: version (7), step (global optimizer step),
+               booster (1-based index of the booster in progress, 0 = none),
+               rng_state, spec (model structure), config (the run's
+               BoostConfig fields, or null when no boosting run wrote the
+               file, e.g. full fine-tuning), data (hex sha256 of the run's
+               dataset, or null), n_arrays (the count of entries below, so a
+               damaged ZIP directory that hides some is caught); when
+               adapters are live also booster_index and trace (the live
+               booster's step losses and per-pair statistics so far, or null)
+    w/<wid>    each base weight
+    a/<wid>, b/<wid>, a0/<wid>
+               A, B and A at birth of each live adapter pair; the rank is
+               A's second dimension
 """
 
 from __future__ import annotations
@@ -32,7 +25,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import struct
+import zipfile
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,12 +34,12 @@ import numpy as np
 from xgblora.lora import AdapterSet, LoraPair
 from xgblora.models import ModelSpec, Role, Tensor, WeightId, sort_key
 
-MAGIC = b"XGBL"
-VERSION = 6
-_LE_F64 = "<f8"
-
-_ROLE_CODES = {role: i for i, role in enumerate(Role)}
-_CODE_ROLES = {i: role for role, i in _ROLE_CODES.items()}
+VERSION = 7
+LEGACY_MAGIC = b"XGBL"  # versions 1-6, a hand-packed layout: the magic, then the version as a u16
+ZIP_MAGIC = b"PK\x03\x04"
+# what zipfile and numpy raise on damaged bytes: a bad CRC-32, a cut-short
+# entry or npy header, a damaged ZIP directory or damaged header flags
+_DAMAGED = (zipfile.BadZipFile, ValueError, EOFError, KeyError, OSError, NotImplementedError, RuntimeError)
 
 
 class CheckpointError(ValueError):
@@ -62,7 +55,8 @@ class VersionMismatch(CheckpointError):
 
 
 class TruncatedCheckpoint(CheckpointError):
-    pass
+    """The file is torn or corrupted: an entry is cut short, fails its
+    CRC-32, or its header does not parse."""
 
 
 @dataclass
@@ -77,59 +71,12 @@ class CheckpointState:
     trace: Optional[dict] = None  # the live booster's BoosterTrace.saved()
 
 
-def _write(fh, fmt, *values):
-    fh.write(struct.pack("<" + fmt, *values))
-
-
-def _read(fh, fmt):
-    size = struct.calcsize("<" + fmt)
-    buf = fh.read(size)
-    if len(buf) != size:
-        raise TruncatedCheckpoint(f"expected {size} bytes, got {len(buf)}")
-    return struct.unpack("<" + fmt, buf)
-
-
-def _write_array(fh, arr: np.ndarray):
-    _write(fh, "B", arr.ndim)
-    for d in arr.shape:
-        _write(fh, "I", d)
-    fh.write(np.ascontiguousarray(arr, dtype=_LE_F64).tobytes())
-
-
-def _read_array(fh) -> np.ndarray:
-    (ndim,) = _read(fh, "B")
-    shape = tuple(_read(fh, "I")[0] for _ in range(ndim))
-    count = int(np.prod(shape)) if shape else 1
-    nbytes = count * 8
-    buf = fh.read(nbytes)
-    if len(buf) != nbytes:
-        raise TruncatedCheckpoint(f"weight block truncated: wanted {nbytes}, got {len(buf)}")
-    return np.frombuffer(buf, dtype=_LE_F64).astype(np.float64).reshape(shape)
-
-
-def _write_wid(fh, wid: WeightId):
-    _write(fh, "HB", wid.layer, _ROLE_CODES[wid.role])
-
-
-def _read_wid(fh) -> WeightId:
-    layer, code = _read(fh, "HB")
-    if code not in _CODE_ROLES:
-        raise CheckpointError(f"unknown role code {code}")
-    return WeightId(layer, _CODE_ROLES[code])
-
-
-def _write_json(fh, value):
-    raw = json.dumps(value, sort_keys=True).encode("utf-8")
-    _write(fh, "I", len(raw))
-    fh.write(raw)
-
-
-def _read_json(fh, what: str):
-    (length,) = _read(fh, "I")
-    raw = fh.read(length)
-    if len(raw) != length:
-        raise TruncatedCheckpoint(f"{what} block truncated")
-    return json.loads(raw.decode("utf-8"))
+def _wid(name: str) -> WeightId:
+    layer, _, role = name.partition(".")
+    try:
+        return WeightId(int(layer[1:]), Role(role))
+    except ValueError:
+        raise CheckpointError(f"bad weight id {name!r}") from None
 
 
 def save_checkpoint(path, model: ModelSpec, step: int = 0, booster: int = 0,
@@ -138,10 +85,20 @@ def save_checkpoint(path, model: ModelSpec, step: int = 0, booster: int = 0,
                     trace: Optional[dict] = None):
     """Write a temp file beside `path`, fsync it and rename it onto `path`,
     so a failed write leaves the previous checkpoint intact."""
+    meta = dict(version=VERSION, step=step, booster=booster, rng_state=rng_state,
+                spec=model.structure(), config=config, data=data_sha256)
+    entries = {f"w/{wid}": model.weights[wid].data for wid in sorted(model.weights, key=sort_key)}
+    if adapters is not None:
+        adapters.check_live()
+        meta.update(booster_index=adapters.booster_index, trace=trace)
+        for wid in adapters.targets():
+            pair = adapters.pairs[wid]
+            entries.update({f"a/{wid}": pair.a.data, f"b/{wid}": pair.b.data, f"a0/{wid}": pair.a_init})
+    meta["n_arrays"] = len(entries)
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            _write_body(fh, model, step, booster, rng_state, adapters, config, data_sha256, trace)
+            np.savez(fh, meta=json.dumps(meta, sort_keys=True), **entries)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -151,81 +108,43 @@ def save_checkpoint(path, model: ModelSpec, step: int = 0, booster: int = 0,
         raise
 
 
-def _write_body(fh, model, step, booster, rng_state, adapters, config, data_sha256, trace):
-    fh.write(MAGIC)
-    _write(fh, "H", VERSION)
-    _write(fh, "Q", step)
-    _write(fh, "I", booster)
-    _write(fh, "Q", rng_state)
-    _write_json(fh, model.structure())
-    _write_json(fh, config)
-    _write_json(fh, data_sha256)
-    wids = sorted(model.weights, key=sort_key)
-    _write(fh, "I", len(wids))
-    for wid in wids:
-        _write_wid(fh, wid)
-        _write_array(fh, model.weights[wid].data)
-    if adapters is None:
-        _write(fh, "B", 0)
-        return
-    adapters.check_live()
-    _write(fh, "B", 1)
-    _write(fh, "I", adapters.booster_index)
-    targets = adapters.targets()
-    _write(fh, "I", len(targets))
-    for wid in targets:
-        pair = adapters.pairs[wid]
-        _write_wid(fh, wid)
-        _write(fh, "I", pair.r)
-        _write_array(fh, pair.a.data)
-        _write_array(fh, pair.b.data)
-        _write_array(fh, pair.a_init)
-    _write_json(fh, trace)
-
-
 def load_checkpoint(path) -> CheckpointState:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if len(magic) < 4:
-            raise TruncatedCheckpoint("file shorter than magic")
-        if magic != MAGIC:
-            raise BadMagic(f"bad magic {magic!r}")
-        (version,) = _read(fh, "H")
-        if version != VERSION:
-            raise VersionMismatch(f"checkpoint version {version}, supported {VERSION}")
-        (step,) = _read(fh, "Q")
-        (booster,) = _read(fh, "I")
-        (rng_state,) = _read(fh, "Q")
-        structure = _read_json(fh, "spec")
-        config = _read_json(fh, "config")
-        data_sha256 = _read_json(fh, "data")
-        (n_weights,) = _read(fh, "I")
-        weights = {}
-        for _ in range(n_weights):
-            wid = _read_wid(fh)
-            weights[wid] = Tensor(_read_array(fh))
-        model = ModelSpec.from_structure(structure, weights)
-
-        (has_adapters,) = _read(fh, "B")
-        adapters = trace = None
-        if has_adapters:
-            (booster_index,) = _read(fh, "I")
-            (n_pairs,) = _read(fh, "I")
-            pairs = {}
-            for _ in range(n_pairs):
-                wid = _read_wid(fh)
-                (rank,) = _read(fh, "I")
-                a, b, a_init = _read_array(fh), _read_array(fh), _read_array(fh)
-                pairs[wid] = LoraPair(
-                    target=wid,
-                    a=Tensor(a, requires_grad=True),
-                    b=Tensor(b, requires_grad=True),
-                    r=rank,
-                    _a_init=a_init,
-                )
-            adapters = AdapterSet(pairs=pairs, booster_index=booster_index)
-            trace = _read_json(fh, "trace")
-        return CheckpointState(
-            model=model, step=step, booster=booster, rng_state=rng_state, adapters=adapters,
-            config=config, data_sha256=data_sha256, trace=trace,
-        )
+        head = fh.read(6)
+    if head[:4] == LEGACY_MAGIC:
+        version = int.from_bytes(head[4:6], "little")
+        raise VersionMismatch(f"checkpoint version {version}, supported {VERSION}")
+    if head[:4] != ZIP_MAGIC:
+        raise BadMagic(f"not a checkpoint: starts with {head[:4]!r}")
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            entries = {name: npz[name] for name in npz.files}
+        meta = json.loads(str(entries.pop("meta")))
+    except _DAMAGED as exc:
+        raise TruncatedCheckpoint(f"torn or corrupted checkpoint {os.fspath(path)}: {exc}") from exc
+    if meta.get("version") != VERSION:
+        raise VersionMismatch(f"checkpoint version {meta.get('version')}, supported {VERSION}")
+    if len(entries) != meta["n_arrays"]:
+        raise TruncatedCheckpoint(f"{os.fspath(path)} lists {len(entries)} of its {meta['n_arrays']} arrays")
+    groups = {"w": {}, "a": {}, "b": {}, "a0": {}}
+    for name, arr in entries.items():
+        prefix, _, wid = name.partition("/")
+        if prefix not in groups or arr.dtype != np.float64:
+            raise CheckpointError(f"unexpected entry {name!r} of {arr.dtype}")
+        groups[prefix][_wid(wid)] = arr
+    weights, a, b, a_init = groups.values()
+    if not a.keys() == b.keys() == a_init.keys():
+        raise CheckpointError("the a/, b/ and a0/ entries name different weights")
+    model = ModelSpec.from_structure(meta["spec"], {wid: Tensor(w) for wid, w in weights.items()})
+    adapters = None
+    if "booster_index" in meta:
+        pairs = {
+            wid: LoraPair(target=wid, a=Tensor(a[wid], requires_grad=True),
+                          b=Tensor(b[wid], requires_grad=True), r=a[wid].shape[1], _a_init=a_init[wid])
+            for wid in a
+        }
+        adapters = AdapterSet(pairs=pairs, booster_index=meta["booster_index"])
+    return CheckpointState(
+        model=model, step=meta["step"], booster=meta["booster"], rng_state=meta["rng_state"],
+        adapters=adapters, config=meta["config"], data_sha256=meta["data"], trace=meta.get("trace"),
+    )

@@ -37,7 +37,6 @@ from xgblora.boosting import (
 )
 from xgblora.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from xgblora.config import ConfigFileError, RunConfig, load_config, save_config
-from xgblora.lora import param_count
 from xgblora.models import accuracy, build_transformer, loss_eval
 from xgblora.reporting import (
     MetricsWriter,
@@ -60,15 +59,7 @@ def build_task(cfg: RunConfig):
     """(dataset, model, task-or-None) for the configured task."""
     if cfg.task in ("teacher-matrix", "teacher-mlp"):
         dims = cfg.dims_list()
-        data, task = gen_teacher_dataset(
-            cfg.task,
-            dims,
-            n=cfg.n_examples,
-            noise=cfg.noise,
-            seed=cfg.seed,
-            delta_scale=cfg.delta_scale,
-            delta_kind=cfg.delta_kind,
-        )
+        data, task = gen_teacher_dataset(cfg.task, dims, n=cfg.n_examples, noise=cfg.noise, seed=cfg.seed)
         return data, task.make_student(), task
     data = gen_sequence_dataset("parity", seq_len=cfg.seq_len, n=cfg.n_examples, seed=cfg.seed)
     model = build_transformer(
@@ -139,8 +130,7 @@ def cmd_train(args) -> int:
     ):
         save_config(cfg, os.path.join(cfg.out_dir, "run.cfg"))
         if cfg.method == "full-ft":
-            counts = param_count(model)
-            with MetricsWriter(metrics_path, run_id, counts["permille"]) as mw:
+            with MetricsWriter(metrics_path, run_id, model.total_params()) as mw:
                 model, losses = full_finetune(
                     model, data, total_steps=cfg.total_steps, eta=cfg.eta,
                     batch_size=cfg.batch_size, seed=cfg.seed,
@@ -152,8 +142,7 @@ def cmd_train(args) -> int:
             return EXIT_OK
 
         model = run.model
-        counts = param_count(model, policy=cfg.policy, r=bc.rank)
-        with MetricsWriter(metrics_path, run_id, counts["permille"], append=bool(args.resume)) as mw:
+        with MetricsWriter(metrics_path, run_id, model.total_params(), append=bool(args.resume)) as mw:
             def on_merge(trace):
                 nbytes = adapter_update_bytes(run.adapters)
                 if cfg.verbose_metrics:

@@ -35,8 +35,6 @@ class RunConfig:
     task: str = "teacher-matrix"  # teacher-matrix | teacher-mlp | parity-seq
     dims: str = "8,8"  # mlp dims, comma separated
     noise: float = 0.0
-    delta_scale: float = 1.0
-    delta_kind: str = "gaussian"
     n_examples: int = 128
     seq_len: int = 8
     # model (transformer tasks)
@@ -57,6 +55,11 @@ class RunConfig:
             raise ConfigFileError(f"task: unknown value {self.task!r}")
         if self.n_examples < 1:
             raise ConfigFileError(f"n_examples: must be >= 1, got {self.n_examples}")
+        own = _TASK_FIELDS[self.task]
+        for name in (n for names in _TASK_FIELDS.values() for n in names if n not in own):
+            default = _FIELDS[name].default
+            if getattr(self, name) != default:
+                raise ConfigFileError(f"{name}: task {self.task} does not read it; leave it at {default}")
         return self
 
     def dims_list(self) -> list[int]:
@@ -66,6 +69,13 @@ class RunConfig:
             raise ConfigFileError(f"dims: expected comma-separated ints, got {self.dims!r}") from exc
 
 
+# the fields each task reads beyond n_examples and seed; a task rejects a
+# non-default value of another task's field instead of recording it as run
+_TASK_FIELDS = {
+    "teacher-matrix": ("dims", "noise"),
+    "teacher-mlp": ("dims", "noise"),
+    "parity-seq": ("seq_len", "d_model", "n_layers", "n_heads", "d_ff"),
+}
 _FIELDS = {f.name: f for f in fields(RunConfig)}
 
 

@@ -51,17 +51,21 @@ def model_update_bytes(model) -> int:
 
 @dataclass
 class MetricsWriter:
-    """One CSV of metrics rows. With `append` (a resumed run) the rows go
-    after the ones already in the file; the header is written only when
-    the file is absent or empty."""
+    """One CSV of metrics rows. A row's trainable_permille is its
+    update_bytes over those of all `total_params` weights, so it counts the
+    adapters live at that row. With `append` (a resumed run) the rows go
+    after the ones already in the file and wall_ms continues from the
+    file's last row; the header is written only when the file is absent or
+    empty."""
 
     path: str
     run_id: str
-    permille: float = 1000.0
+    total_params: int
     append: bool = False
 
     def __post_init__(self):
-        self._start = time.monotonic()
+        prior = read_metrics_csv(self.path) if self.append and os.path.exists(self.path) else []
+        self._start = time.monotonic() - (float(prior[-1]["wall_ms"]) / 1000.0 if prior else 0.0)
         self._fh = open(self.path, "a" if self.append else "w", encoding="utf-8", newline="")
         if self._fh.tell() == 0:
             self._fh.write(",".join(METRICS_HEADER) + "\n")
@@ -79,7 +83,7 @@ class MetricsWriter:
             *norms,
             _fmt((time.monotonic() - self._start) * 1000.0),
             str(update_bytes),
-            _fmt(self.permille),
+            _fmt(1000.0 * update_bytes / (2 * FLOAT64_BYTES * self.total_params)),
         ]
         self._fh.write(",".join(row) + "\n")
 

@@ -30,7 +30,7 @@ class TestConfig:
 
     def test_round_trip_modified(self):
         cfg = RunConfig(method="lora", eta=0.125, iterations=7, total_steps=None,
-                        task="parity-seq", verbose_metrics=True, dims="4,8,2")
+                        task="teacher-mlp", verbose_metrics=True, dims="4,8,2")
         assert parse_config(serialize_config(cfg)) == cfg
 
     def test_comments_and_blank_lines(self):
@@ -62,6 +62,9 @@ class TestCheckpoint:
         path = tmp_path / "m.xgbl"
         save_checkpoint(path, model, step=17, booster=3, rng_state=0xABCDEF)
         state = load_checkpoint(path)
+        # every entry is dated 1980-01-01, so one state always writes the same bytes
+        save_checkpoint(tmp_path / "again.xgbl", model, step=17, booster=3, rng_state=0xABCDEF)
+        assert (tmp_path / "again.xgbl").read_bytes() == path.read_bytes()
         assert state.step == 17
         assert state.booster == 3
         assert state.rng_state == 0xABCDEF
@@ -102,17 +105,20 @@ class TestCheckpoint:
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "v.xgbl"
+        # versions 1-6 were a hand-packed layout: "XGBL", then the version as a u16.
         # 1: before the run config was stored; 2: before the data digest and live trace;
         # 3: the live trace's pair statistics still carry grad_eff_max;
         # 4: each adapter pair still carries its scale alpha;
-        # 5: a dtype byte, and activation, output map and dtype in the spec
-        for version in (99, 1, 2, 3, 4, 5):
-            save_checkpoint(path, small_model())
-            raw = bytearray(path.read_bytes())
-            raw[4:6] = version.to_bytes(2, "little")
-            path.write_bytes(bytes(raw))
+        # 5: a dtype byte, and activation, output map and dtype in the spec;
+        # 6: no checksum, so a flipped byte loaded as wrong weights
+        for version in (99, 1, 2, 3, 4, 5, 6):
+            path.write_bytes(b"XGBL" + version.to_bytes(2, "little") + b"\x00" * 64)
             with pytest.raises(VersionMismatch, match=f"version {version},"):
                 load_checkpoint(path)
+        with open(path, "wb") as fh:
+            np.savez(fh, meta=json.dumps({"version": 99}))
+        with pytest.raises(VersionMismatch, match="version 99,"):
+            load_checkpoint(path)
 
     def test_config_round_trip(self, tmp_path):
         path = tmp_path / "c.xgbl"
@@ -122,20 +128,20 @@ class TestCheckpoint:
         assert load_checkpoint(path).config is None
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
-        import xgblora.checkpoint as ck
+        import numpy.lib.format as npy_format
 
         path = tmp_path / "keep.xgbl"
         save_checkpoint(path, small_model(seed=4), step=3)
         before = path.read_bytes()
-        real, calls = ck._write_array, []
+        real, calls = npy_format.write_array, []
 
-        def failing(fh, arr):
+        def failing(fh, arr, **kwargs):
             calls.append(1)
             if len(calls) == 2:
                 raise OSError("disk full")
-            real(fh, arr)
+            real(fh, arr, **kwargs)
 
-        monkeypatch.setattr(ck, "_write_array", failing)
+        monkeypatch.setattr(npy_format, "write_array", failing)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(path, small_model(seed=9), step=4)
         assert path.read_bytes() == before
@@ -153,6 +159,23 @@ class TestCheckpoint:
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(TruncatedCheckpoint):
             load_checkpoint(path)
+
+    def test_flipped_byte_in_a_weight_detected(self, tmp_path):
+        """Each entry carries a CRC-32: one flipped bit inside a weight's
+        bytes fails the load instead of loading a wrong weight."""
+        path = tmp_path / "f.xgbl"
+        model = small_model()
+        save_checkpoint(path, model)
+        path.write_bytes(flip_weight_byte(path.read_bytes(), model))
+        with pytest.raises(TruncatedCheckpoint, match="torn or corrupted"):
+            load_checkpoint(path)
+
+
+def flip_weight_byte(raw: bytes, model) -> bytes:
+    """`raw` with one bit flipped in the middle of the first weight's bytes."""
+    w = next(iter(model.weights.values())).data.tobytes()
+    at = raw.index(w) + len(w) // 2
+    return raw[:at] + bytes([raw[at] ^ 0x10]) + raw[at + 1:]
 
 
 class TestResume:
@@ -229,7 +252,7 @@ class TestResume:
 
 class TestReporting:
     def _write_run(self, tmp_path, run_id, losses):
-        with MetricsWriter(os.path.join(tmp_path, f"{run_id}.csv"), run_id, 12.5) as mw:
+        with MetricsWriter(os.path.join(tmp_path, f"{run_id}.csv"), run_id, 64) as mw:
             for i, loss in enumerate(losses, start=1):
                 mw.write_step(i, i * 8, loss, 256)
 
@@ -350,6 +373,18 @@ class TestCli:
             out = tmp_path / f"nonfinite{flag}{value}"
             assert main(["train", flag, value, "--seed", "1", "-K", "16", "--out-dir", str(out)]) == 1
             assert not out.exists()
+        # a field the chosen task never reads is refused, not recorded as run
+        capsys.readouterr()
+        for i, (argv, field) in enumerate([
+            (["--seed", "0", "--task", "parity-seq", "--dims", "3,3,3", "--noise", "0.5", "-K", "8",
+              "--seq-len", "4", "--n-examples", "16"], "dims"),
+            (["--seed", "1", "--task", "teacher-matrix", "--n-layers", "9"], "n_layers"),
+        ]):
+            out = tmp_path / f"foreign{i}"
+            assert main(["train", *argv, "--out-dir", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {field}:") and "does not read" in err
+            assert not out.exists()
 
     def test_train_divergence_exits_1(self, tmp_path, capsys):
         """A diverged fresh run exits 1 with one named error and no numpy
@@ -399,6 +434,29 @@ class TestCli:
         assert err.startswith("error:") and str(path) in err and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("damage", ["flipped", "truncated", "v6"])
+    def test_train_damaged_resume_exits_1(self, tmp_path, capsys, damage):
+        """A checkpoint with a flipped bit inside a weight, one cut short and
+        one in the version-6 layout each exit 1 with one error line."""
+        base = ["train", *self.SMALL, "-T", "2", "--kappa", "4"]
+        part = tmp_path / "part"
+        assert main([*base, "--out-dir", str(part), "--stop-after-step", "2"]) == 0
+        ckpt = part / "checkpoint.xgbl"
+        raw = ckpt.read_bytes()
+        damaged = {
+            "flipped": lambda: flip_weight_byte(raw, load_checkpoint(ckpt).model),
+            "truncated": lambda: raw[: len(raw) // 2],
+            "v6": lambda: b"XGBL" + (6).to_bytes(2, "little") + raw[6:],
+        }[damage]()
+        ckpt.write_bytes(damaged)
+        capsys.readouterr()
+        out = tmp_path / "resumed"
+        assert main([*base, "--out-dir", str(out), "--resume", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert ("version 6," if damage == "v6" else "torn or corrupted") in err
+        assert not out.exists()
+
     def test_train_missing_config_exits_1(self, tmp_path, capsys):
         path, out = tmp_path / "missing.cfg", tmp_path / "run"
         rc = main(["train", "--config", str(path), "--seed", "1", "--out-dir", str(out)])
@@ -443,6 +501,21 @@ class TestCli:
         model = build_mlp([8, 8], rng=Rng(0))
         expected = param_count(model, policy="qv", r=1)["permille"]
         assert float(rows[-1]["trainable_permille"]) == pytest.approx(expected)
+        # --layers 2 of 4: a row counts the adapters live at it, not every adaptable layer
+        out_dir = str(tmp_path / "parity")
+        assert main([
+            "train", "--seed", "0", "--task", "parity-seq", "--n-layers", "4", "--seq-len", "4",
+            "--n-examples", "16", "--batch-size", "8", "--kappa", "4", "-K", "8",
+            "--policy", "all", "--layers", "2", "--eta", "1.0", "--out-dir", out_dir,
+        ]) == 0
+        model = load_checkpoint(os.path.join(out_dir, "checkpoint.xgbl")).model
+        every_layer = param_count(model, policy="all", r=1)["permille"]
+        rows = read_metrics_csv(os.path.join(out_dir, "metrics.csv"))
+        assert len(rows) == 2
+        for row in rows:
+            want = 1000 * int(row["update_bytes"]) / (16 * model.total_params())
+            assert float(row["trainable_permille"]) == pytest.approx(want, rel=1e-9)
+            assert want == pytest.approx(every_layer / 2)
 
     def test_verbose_metrics_writes_per_step_rows(self, tmp_path):
         from xgblora.reporting import read_metrics_csv
@@ -501,6 +574,9 @@ class TestCli:
                 assert main([*common, "--out-dir", out, "--stop-after-step", str(pause)]) == 0
                 assert main([*common, "--out-dir", out, "--resume", os.path.join(out, "checkpoint.xgbl")]) == 0
                 assert rows(out) == rows(full_dir), (verbose, pause)
+                # the resumed run's clock continues from the last row written before the pause
+                walls = [float(r["wall_ms"]) for r in read_metrics_csv(os.path.join(out, "metrics.csv"))]
+                assert walls == sorted(walls), (verbose, pause)
 
     def test_resume_on_other_data_or_model_exits_1(self, tmp_path, capsys):
         out = str(tmp_path / "d")
