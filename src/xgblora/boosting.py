@@ -6,11 +6,12 @@ steps, then merge them into the base weights and discard them. Plain LoRA
 is the one-iteration special case (T=1, kappa=K, all layers; see
 `lora_config`).
 
-A `BoostConfig` holds the validated schedule and hyperparameters that
-every boosting loop reads. `BoostRun` holds a run's state (`start`,
-`resume`, `save`), and `boost_step` is the one function that advances
-it, to a given absolute step or to the end; `xgblora_fit` runs a fresh
-run from start to end. Full fine-tuning, a classic residual-fitting
+`TrainConfig` declares the training fields once, with their range
+checks; `BoostConfig` adds the schedule rule, and the shell's `RunConfig`
+the task, model and plumbing fields. `BoostRun` holds a run's state
+(`start`, `resume`, `save`), and `boost_step` is the one function that
+advances it, to a given absolute step or to the end; `xgblora_fit` runs a
+fresh run from start to end. Full fine-tuning, a classic residual-fitting
 gradient-boosting reference and the analytic cost model live here too.
 """
 
@@ -39,13 +40,9 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class BoostConfig:
-    """Schedule and hyperparameters for the boosting loop.
-
-    The schedule is exactly total_steps = iterations * steps_per_booster
-    (K = T * kappa): give two of the three, or all three if they agree. A
-    total the given factor does not divide is an error.
-    """
+class TrainConfig:
+    """The training fields, with every range check that does not depend on
+    the schedule rule; a schedule value may stay None."""
 
     iterations: Optional[int] = None  # T
     steps_per_booster: Optional[int] = None  # kappa
@@ -53,25 +50,45 @@ class BoostConfig:
     rank: int = 1
     sample_layers: int = 8  # L_s
     lam: float = 0.0
-    eta: float = 0.05
+    eta: float = 0.5
     batch_size: int = 16
     seed: int = 0
     policy: str = "qv"
-    record_merge_loss: bool = False  # trace pre/post-merge full-data loss: two forwards per booster
 
     def __post_init__(self):
         self.validate()
 
     def validate(self):
+        for name in ("iterations", "steps_per_booster", "total_steps", "rank", "sample_layers", "batch_size"):
+            v = getattr(self, name)
+            if v is not None and v < 1:
+                raise ConfigError(f"{name} must be >= 1, got {v}")
+        for name in ("lam", "eta"):
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {v}")
+        if self.policy not in ("qv", "all"):
+            raise ConfigError(f"policy must be qv or all, got {self.policy!r}")
+
+
+@dataclass
+class BoostConfig(TrainConfig):
+    """The training fields of one boosting run, with its schedule complete.
+
+    The schedule is exactly total_steps = iterations * steps_per_booster
+    (K = T * kappa): give two of the three, or all three if they agree. A
+    total the given factor does not divide is an error.
+    """
+
+    record_merge_loss: bool = False  # trace pre/post-merge full-data loss: two forwards per booster
+
+    def validate(self):
+        super().validate()
         schedule = ("iterations", "steps_per_booster", "total_steps")
-        known = {k: getattr(self, k) for k in schedule if getattr(self, k) is not None}
-        if len(known) < 2:
+        if sum(getattr(self, k) is not None for k in schedule) < 2:
             raise ConfigError(
                 "schedule underdetermined: give two of iterations/steps_per_booster/total_steps"
             )
-        for name, v in known.items():
-            if v < 1:
-                raise ConfigError(f"{name} must be >= 1, got {v}")
         if self.total_steps is None:
             self.total_steps = self.iterations * self.steps_per_booster
         for name in schedule[:2]:
@@ -85,23 +102,6 @@ class BoostConfig:
                 f"total_steps={self.total_steps} != iterations={self.iterations}"
                 f" * steps_per_booster={self.steps_per_booster}"
             )
-        if self.rank < 1:
-            raise ConfigError(f"rank must be >= 1, got {self.rank}")
-        if self.sample_layers < 1:
-            raise ConfigError(f"sample_layers must be >= 1, got {self.sample_layers}")
-        if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
-        check_sgd(self.eta, self.batch_size)
-        if self.policy not in ("qv", "all"):
-            raise ConfigError(f"policy must be qv or all, got {self.policy!r}")
-
-
-def check_sgd(eta: float, batch_size: int):
-    """The step-size and batch-size checks every training loop shares."""
-    if not (np.isfinite(eta) and eta >= 0):
-        raise ConfigError(f"eta must be finite and >= 0, got {eta}")
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
 
 
 @dataclass
@@ -333,35 +333,30 @@ def xgblora_fit(
     return run.model, run.traces
 
 
-def lora_config(model: ModelSpec, total_steps: int, **hyper) -> BoostConfig:
+def lora_config(model: ModelSpec, total_steps: int, **train) -> BoostConfig:
     """The boosting schedule of plain low-rank adaptation: T=1, kappa=K,
-    every layer of `model`; `hyper` holds the other BoostConfig fields."""
-    return BoostConfig(iterations=1, steps_per_booster=total_steps, sample_layers=model.layers, **hyper)
+    every layer of `model`; `train` holds the other TrainConfig fields (an
+    iterations, steps_per_booster or sample_layers there is replaced)."""
+    return BoostConfig(**{**train, "iterations": 1, "steps_per_booster": total_steps,
+                          "sample_layers": model.layers})
 
 
-def full_finetune(
-    model: ModelSpec,
-    data: Dataset,
-    total_steps: int,
-    eta: float,
-    batch_size: int = 16,
-    seed: int = 0,
-) -> tuple[ModelSpec, list[float]]:
-    """K SGD steps on every weight in the model."""
-    if total_steps < 1:
-        raise ConfigError(f"total_steps must be >= 1, got {total_steps}")
-    check_sgd(eta, batch_size)
-    rng = Rng(seed)
+def full_finetune(model: ModelSpec, data: Dataset, cfg: TrainConfig) -> tuple[ModelSpec, list[float]]:
+    """cfg.total_steps SGD steps on every weight in the model, at cfg's
+    eta, batch size and seed."""
+    if cfg.total_steps is None:
+        raise ConfigError("full fine-tuning needs total_steps")
+    rng = Rng(cfg.seed)
     params = [model.weights[wid] for wid in sorted(model.weights, key=sort_key)]
     for p in params:
         p.requires_grad = True
     losses = []
     try:
-        for step in range(total_steps):
-            idx = rng.randint_array(data.n, batch_size)
+        for step in range(cfg.total_steps):
+            idx = rng.randint_array(data.n, cfg.batch_size)
             loss = batch_loss(model, data.batch(idx))
             loss.backward()
-            sgd_step(params, eta)
+            sgd_step(params, cfg.eta)
             value = loss.item()
             if not np.isfinite(value):
                 raise FloatingPointError(f"full fine-tune diverged at step {step + 1}; lower eta")

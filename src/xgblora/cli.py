@@ -27,9 +27,9 @@ from xgblora.boosting import (
     BoostRun,
     ConfigError,
     CostModel,
+    TrainConfig,
     boost_step,
     check_resume,
-    check_sgd,
     classic_gb_fit,
     cost_model_estimate,
     full_finetune,
@@ -75,27 +75,26 @@ def build_task(cfg: RunConfig):
 
 
 def _schedule(cfg: RunConfig, model) -> Optional[BoostConfig]:
-    """Complete the run's schedule and write it back into `cfg`, so run.cfg
-    records the schedule that ran; returns the BoostConfig (None for
-    full-ft). lora and full-ft read only K (default 256). xgblora fills in
-    kappa=8, then K=256, until two of (T, kappa, K) are known, and
-    BoostConfig derives the third."""
+    """Fill in the CLI's schedule defaults, then write every training field
+    of the BoostConfig that runs back into `cfg`, so run.cfg records the
+    config that ran; returns that BoostConfig (None for full-ft). xgblora
+    fills in steps_per_booster=8, then total_steps=256, until two of the
+    three are known, and BoostConfig derives the third. lora and full-ft
+    read only total_steps (default 256); lora adapts every layer."""
     if cfg.method == "xgblora":
-        for name, default in (("kappa", 8), ("total_steps", 256)):
-            known = sum(v is not None for v in (cfg.iterations, cfg.kappa, cfg.total_steps))
+        for name, default in (("steps_per_booster", 8), ("total_steps", 256)):
+            known = sum(v is not None for v in (cfg.iterations, cfg.steps_per_booster, cfg.total_steps))
             if known < 2 and getattr(cfg, name) is None:
                 setattr(cfg, name, default)
     else:
-        cfg.iterations = cfg.kappa = None
+        cfg.iterations = cfg.steps_per_booster = None
         cfg.total_steps = 256 if cfg.total_steps is None else cfg.total_steps
         if cfg.method == "full-ft":
             return None
-    hyper = dict(rank=cfg.rank, lam=cfg.lam, eta=cfg.eta, batch_size=cfg.batch_size,
-                 seed=cfg.seed, policy=cfg.policy)
-    bc = lora_config(model, cfg.total_steps, **hyper) if cfg.method == "lora" else BoostConfig(
-        iterations=cfg.iterations, steps_per_booster=cfg.kappa, total_steps=cfg.total_steps,
-        sample_layers=cfg.sample_layers, **hyper)
-    cfg.iterations, cfg.kappa, cfg.total_steps = bc.iterations, bc.steps_per_booster, bc.total_steps
+    train = {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)}
+    bc = lora_config(model, **train) if cfg.method == "lora" else BoostConfig(**train)
+    for name in train:
+        setattr(cfg, name, getattr(bc, name))
     return bc
 
 
@@ -112,7 +111,6 @@ def cmd_train(args) -> int:
         for flag, value in (("--resume", args.resume), ("--stop-after-step", args.stop_after_step)):
             if value is not None:
                 raise ConfigError(f"{flag} is not supported with --method full-ft")
-        check_sgd(cfg.eta, cfg.batch_size)
     elif args.resume:
         state = load_checkpoint(args.resume)
         check_resume("model", model.structure(), state.model.structure())
@@ -131,10 +129,7 @@ def cmd_train(args) -> int:
         save_config(cfg, os.path.join(cfg.out_dir, "run.cfg"))
         if cfg.method == "full-ft":
             with MetricsWriter(metrics_path, run_id, model.total_params()) as mw:
-                model, losses = full_finetune(
-                    model, data, total_steps=cfg.total_steps, eta=cfg.eta,
-                    batch_size=cfg.batch_size, seed=cfg.seed,
-                )
+                model, losses = full_finetune(model, data, cfg)
                 mw.write_step(1, len(losses), losses[-1], model_update_bytes(model))
             final = _final_train_loss(model, data)
             save_checkpoint(ckpt_path, model, step=len(losses))
@@ -142,7 +137,8 @@ def cmd_train(args) -> int:
             return EXIT_OK
 
         model = run.model
-        with MetricsWriter(metrics_path, run_id, model.total_params(), append=bool(args.resume)) as mw:
+        resume_step = run.global_step if args.resume else None
+        with MetricsWriter(metrics_path, run_id, model.total_params(), resume_step) as mw:
             def on_merge(trace):
                 nbytes = adapter_update_bytes(run.adapters)
                 if cfg.verbose_metrics:
@@ -368,7 +364,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("xgblora", "lora", "full-ft"))
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--iterations", "-T", type=int, dest="iterations")
-    p.add_argument("--kappa", type=int)
+    p.add_argument("--kappa", type=int, dest="steps_per_booster")
     p.add_argument("--total-steps", "-K", type=int, dest="total_steps")
     p.add_argument("--r", "--rank", type=int, dest="rank")
     p.add_argument("--layers", type=int, dest="sample_layers")

@@ -1,14 +1,16 @@
 """Run configuration: a flat key=value text format with # comments.
 
-Every field round-trips losslessly through serialize/parse. CLI flags
-override file values; unknown keys are rejected by name so typos fail
+`RunConfig` is `boosting.TrainConfig` plus the fields only the shell
+reads. Every field round-trips losslessly through serialize/parse. CLI
+flags override file values; unknown keys are rejected by name so typos fail
 loudly instead of silently training the wrong thing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional
+
+from xgblora.boosting import TrainConfig
 
 
 class ConfigFileError(ValueError):
@@ -16,21 +18,9 @@ class ConfigFileError(ValueError):
 
 
 @dataclass
-class RunConfig:
-    # training method and schedule
+class RunConfig(TrainConfig):
+    # the schedule stays None until cli._schedule fills in its defaults
     method: str = "xgblora"  # xgblora | lora | full-ft
-    # the schedule; the shell fills in kappa=8, then total_steps=256, until
-    # two of the three are known (cli._schedule)
-    iterations: Optional[int] = None  # T
-    kappa: Optional[int] = None  # steps per booster
-    total_steps: Optional[int] = None  # K
-    rank: int = 1
-    sample_layers: int = 8  # L_s
-    lam: float = 0.0
-    eta: float = 0.5
-    batch_size: int = 16
-    policy: str = "qv"
-    seed: int = 0
     # task
     task: str = "teacher-matrix"  # teacher-matrix | teacher-mlp | parity-seq
     dims: str = "8,8"  # mlp dims, comma separated
@@ -47,20 +37,19 @@ class RunConfig:
     verbose_metrics: bool = False
 
     def validate(self):
-        """Checks the fields only the shell reads; the training fields are
-        checked by BoostConfig and boosting.check_sgd."""
-        if self.method not in ("xgblora", "lora", "full-ft"):
+        if self.method not in _READS["method"]:
             raise ConfigFileError(f"method: unknown value {self.method!r}")
-        if self.task not in ("teacher-matrix", "teacher-mlp", "parity-seq"):
+        if self.task not in _READS["task"]:
             raise ConfigFileError(f"task: unknown value {self.task!r}")
         if self.n_examples < 1:
             raise ConfigFileError(f"n_examples: must be >= 1, got {self.n_examples}")
-        own = _TASK_FIELDS[self.task]
-        for name in (n for names in _TASK_FIELDS.values() for n in names if n not in own):
-            default = _FIELDS[name].default
-            if getattr(self, name) != default:
-                raise ConfigFileError(f"{name}: task {self.task} does not read it; leave it at {default}")
-        return self
+        super().validate()
+        for kind, reads in _READS.items():
+            value = getattr(self, kind)
+            for name in (n for names in reads.values() for n in names if n not in reads[value]):
+                default = _FIELDS[name].default
+                if getattr(self, name) != default:
+                    raise ConfigFileError(f"{name}: {kind} {value} does not read it; leave it at {default}")
 
     def dims_list(self) -> list[int]:
         try:
@@ -69,33 +58,38 @@ class RunConfig:
             raise ConfigFileError(f"dims: expected comma-separated ints, got {self.dims!r}") from exc
 
 
-# the fields each task reads beyond n_examples and seed; a task rejects a
-# non-default value of another task's field instead of recording it as run
-_TASK_FIELDS = {
-    "teacher-matrix": ("dims", "noise"),
-    "teacher-mlp": ("dims", "noise"),
-    "parity-seq": ("seq_len", "d_model", "n_layers", "n_heads", "d_ff"),
+# the fields each task and each method reads, of those that not all read; a
+# run rejects a non-default value of a field its task or method does not
+# read instead of recording it as run
+_ADAPTER_FIELDS = ("rank", "sample_layers", "lam", "policy")
+_READS = {
+    "task": {
+        "teacher-matrix": ("dims", "noise"),
+        "teacher-mlp": ("dims", "noise"),
+        "parity-seq": ("seq_len", "d_model", "n_layers", "n_heads", "d_ff"),
+    },
+    "method": {"xgblora": _ADAPTER_FIELDS, "lora": _ADAPTER_FIELDS, "full-ft": ()},
 }
 _FIELDS = {f.name: f for f in fields(RunConfig)}
 
 
 def _parse_value(name: str, raw: str):
-    f = _FIELDS[name]
-    base = f.type.replace("Optional[", "").rstrip("]") if isinstance(f.type, str) else f.type
+    optional = _FIELDS[name].type.startswith("Optional[")
+    base = _FIELDS[name].type.removeprefix("Optional[").rstrip("]")
     raw = raw.strip()
-    if raw == "none":
+    if raw == "none" and optional:
         return None
-    if base in ("int", int):
+    if base == "int":
         try:
             return int(raw)
         except ValueError as exc:
             raise ConfigFileError(f"{name}: expected int, got {raw!r}") from exc
-    if base in ("float", float):
+    if base == "float":
         try:
             return float(raw)
         except ValueError as exc:
             raise ConfigFileError(f"{name}: expected float, got {raw!r}") from exc
-    if base in ("bool", bool):
+    if base == "bool":
         if raw in ("true", "1", "yes"):
             return True
         if raw in ("false", "0", "no"):

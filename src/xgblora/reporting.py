@@ -9,6 +9,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -53,23 +54,29 @@ def model_update_bytes(model) -> int:
 class MetricsWriter:
     """One CSV of metrics rows. A row's trainable_permille is its
     update_bytes over those of all `total_params` weights, so it counts the
-    adapters live at that row. With `append` (a resumed run) the rows go
-    after the ones already in the file and wall_ms continues from the
-    file's last row; the header is written only when the file is absent or
-    empty."""
+    adapters live at that row. A resumed run gives its checkpoint's
+    `resume_step`: the rows already in the file up to that step are kept
+    (rewritten with one write-then-rename, so rows a run wrote past its
+    last checkpoint are dropped), new rows go after them, and wall_ms
+    continues from the last kept row."""
 
     path: str
     run_id: str
     total_params: int
-    append: bool = False
+    resume_step: Optional[int] = None
 
     def __post_init__(self):
-        prior = read_metrics_csv(self.path) if self.append and os.path.exists(self.path) else []
-        self._start = time.monotonic() - (float(prior[-1]["wall_ms"]) / 1000.0 if prior else 0.0)
-        self._fh = open(self.path, "a" if self.append else "w", encoding="utf-8", newline="")
-        if self._fh.tell() == 0:
-            self._fh.write(",".join(METRICS_HEADER) + "\n")
-            self._fh.flush()
+        kept = []
+        if self.resume_step is not None and os.path.exists(self.path):
+            kept = [r for r in read_metrics_csv(self.path) if int(r["step"]) <= self.resume_step]
+        self._start = time.monotonic() - (float(kept[-1]["wall_ms"]) / 1000.0 if kept else 0.0)
+        tmp = self.path + ".tmp"
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(METRICS_HEADER) + "\n")
+            for r in kept:
+                fh.write(",".join(r[c] for c in METRICS_HEADER) + "\n")
+        os.replace(tmp, self.path)
+        self._fh = open(self.path, "a", encoding="utf-8", newline="")
 
     def _write_row(self, t: int, step: int, loss: float, norms: tuple, update_bytes: int):
         """One METRICS_HEADER row; `norms` holds the a_norm, b_norm and

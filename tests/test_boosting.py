@@ -13,6 +13,7 @@ from xgblora.boosting import (
     BoostConfig,
     ConfigError,
     CostModel,
+    TrainConfig,
     classic_gb_fit,
     cost_model_estimate,
     full_finetune,
@@ -21,6 +22,7 @@ from xgblora.boosting import (
     train_booster,
     xgblora_fit,
 )
+from xgblora.config import RunConfig
 from xgblora.lora import AdapterError, init_adapter_set, merge_adapters
 from xgblora.models import Dataset, build_mlp
 from xgblora.tasks import gen_teacher_dataset
@@ -68,6 +70,7 @@ class TestBoostConfig:
         assert cfg.rank == 1
         assert cfg.steps_per_booster == 8
         assert cfg.sample_layers == 8
+        assert cfg.eta == RunConfig().eta == 0.5
 
 
 class TestSelectLayers:
@@ -284,7 +287,7 @@ class TestFullFinetune:
     def test_eta_zero_keeps_weights(self):
         model, data = quadratic_setup(seed=1)
         before = {wid: w.data.copy() for wid, w in model.weights.items()}
-        full_finetune(model, data, total_steps=5, eta=0.0, seed=2)
+        full_finetune(model, data, TrainConfig(total_steps=5, eta=0.0, seed=2))
         for wid in before:
             assert np.array_equal(model.weights[wid].data, before[wid])
 
@@ -292,12 +295,12 @@ class TestFullFinetune:
         data, task = gen_teacher_dataset("teacher-mlp", [6, 12, 4], n=128, seed=3)
         model = task.make_student()
         initial = mz.loss_eval(model, data)
-        full_finetune(model, data, total_steps=500, eta=0.05, batch_size=16, seed=4)
+        full_finetune(model, data, TrainConfig(total_steps=500, eta=0.05, batch_size=16, seed=4))
         assert mz.loss_eval(model, data) < initial
 
     def test_requires_grad_restored(self):
         model, data = quadratic_setup()
-        full_finetune(model, data, total_steps=2, eta=0.01, seed=1)
+        full_finetune(model, data, TrainConfig(total_steps=2, eta=0.01, seed=1))
         assert all(not w.requires_grad for w in model.weights.values())
 
 

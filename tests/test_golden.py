@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from xgblora import BoostConfig, Rng, build_transformer, gen_sequence_dataset, xgblora_fit
-from xgblora.boosting import full_finetune, lora_config
+from xgblora.boosting import TrainConfig, full_finetune, lora_config
 from xgblora.checkpoint import load_checkpoint
 from xgblora.cli import main
 from xgblora.models import sort_key
@@ -71,8 +71,8 @@ def lora_fit(tmp_path):
 
 def full_ft(tmp_path):
     data, task = gen_teacher_dataset("teacher-mlp", [6, 12, 4], n=128, seed=3)
-    return full_finetune(task.make_student(), data, total_steps=64, eta=0.05, batch_size=16,
-                         seed=4)[0]
+    return full_finetune(task.make_student(), data,
+                         TrainConfig(total_steps=64, eta=0.05, batch_size=16, seed=4))[0]
 
 
 def cli_paused_and_resumed(tmp_path):

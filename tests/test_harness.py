@@ -46,6 +46,11 @@ class TestConfig:
     def test_bad_value_named(self):
         with pytest.raises(ConfigFileError, match="eta"):
             parse_config("eta=fast\n")
+        # none is a value of the three schedule fields only
+        for name in ("rank", "eta", "n_examples"):
+            with pytest.raises(ConfigFileError, match=f"^{name}: expected"):
+                parse_config(f"{name}=none\n")
+        assert parse_config("iterations=none\nsteps_per_booster=none\ntotal_steps=none\n") == RunConfig()
 
     def test_invalid_method(self):
         with pytest.raises(ConfigFileError, match="method"):
@@ -363,6 +368,11 @@ class TestCli:
         assert rc == 1
         assert "precision" in capsys.readouterr().err
         assert not (tmp_path / "old").exists()
+        # a run.cfg written while kappa was the steps-per-booster key
+        bad.write_text("kappa=8\n")
+        assert main(["train", "--config", str(bad), "--seed", "1", "--out-dir", str(tmp_path / "old")]) == 1
+        assert "unknown key 'kappa'" in capsys.readouterr().err
+        assert not (tmp_path / "old").exists()
         rc = main(["train", "--method", "full-ft", "--batch-size", "0", "--seed", "1",
                    "--out-dir", str(tmp_path / "ft")])
         assert rc == 1
@@ -379,11 +389,17 @@ class TestCli:
             (["--seed", "0", "--task", "parity-seq", "--dims", "3,3,3", "--noise", "0.5", "-K", "8",
               "--seq-len", "4", "--n-examples", "16"], "dims"),
             (["--seed", "1", "--task", "teacher-matrix", "--n-layers", "9"], "n_layers"),
+            (["--seed", "1", "--method", "full-ft", "--lam", "0.3", "--r", "4", "--policy", "all",
+              "--layers", "1"], "rank"),
+            (["--seed", "1", "--method", "full-ft", "--layers", "1"], "sample_layers"),
+            (["--seed", "1", "--method", "full-ft", "--lam", "0.3"], "lam"),
+            (["--seed", "1", "--method", "full-ft", "--policy", "all"], "policy"),
         ]):
             out = tmp_path / f"foreign{i}"
             assert main(["train", *argv, "--out-dir", str(out)]) == 1
             err = capsys.readouterr().err
             assert err.startswith(f"error: {field}:") and "does not read" in err
+            assert ("method full-ft" in err) == ("full-ft" in argv)
             assert not out.exists()
 
     def test_train_divergence_exits_1(self, tmp_path, capsys):
@@ -530,10 +546,11 @@ class TestCli:
         rows = read_metrics_csv(os.path.join(out_dir, "metrics.csv"))
         assert len(rows) == 2 * 3 + 2  # per-step rows plus one per merge
 
-    SMALL = [
+    TASK = [
         "--seed", "5", "--task", "teacher-matrix", "--dims", "6,6", "--n-examples", "32",
-        "--r", "1", "--layers", "1", "--eta", "0.4", "--batch-size", "8",
+        "--eta", "0.4", "--batch-size", "8",
     ]
+    SMALL = [*TASK, "--r", "1", "--layers", "1"]
 
     def test_resume_with_another_kappa_exits_1(self, tmp_path, capsys):
         out = str(tmp_path / "k")
@@ -548,7 +565,7 @@ class TestCli:
 
     def test_xgblora_resume_from_full_ft_checkpoint_exits_1(self, tmp_path, capsys):
         out = str(tmp_path / "ft")
-        assert main(["train", "--method", "full-ft", *self.SMALL, "-K", "8", "--out-dir", out]) == 0
+        assert main(["train", "--method", "full-ft", *self.TASK, "-K", "8", "--out-dir", out]) == 0
         capsys.readouterr()
         rc = main(["train", *self.SMALL, "-K", "8", "--kappa", "4", "--out-dir", str(tmp_path / "x"),
                    "--resume", os.path.join(out, "checkpoint.xgbl")])
@@ -577,6 +594,36 @@ class TestCli:
                 # the resumed run's clock continues from the last row written before the pause
                 walls = [float(r["wall_ms"]) for r in read_metrics_csv(os.path.join(out, "metrics.csv"))]
                 assert walls == sorted(walls), (verbose, pause)
+
+    def test_metrics_not_repeated_after_torn_resume(self, tmp_path, monkeypatch):
+        """A resumed run stopped after its merges but before its final
+        checkpoint leaves rows past that checkpoint in metrics.csv; the next
+        resume drops them, so each booster keeps one row."""
+        from xgblora.reporting import read_metrics_csv
+
+        common = ["train", *self.SMALL, "-T", "4", "--kappa", "5"]
+        full, out = str(tmp_path / "full"), str(tmp_path / "torn")
+        ckpt = os.path.join(out, "checkpoint.xgbl")
+        assert main([*common, "--out-dir", full]) == 0
+        assert main([*common, "--out-dir", out, "--stop-after-step", "7"]) == 0
+
+        def interrupted(run, path):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as m:
+            m.setattr(BoostRun, "save", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                main([*common, "--out-dir", out, "--resume", ckpt])
+        assert [r["iteration"] for r in read_metrics_csv(os.path.join(out, "metrics.csv"))] == list("1234")
+        assert main([*common, "--out-dir", out, "--resume", ckpt]) == 0
+        rows = read_metrics_csv(os.path.join(out, "metrics.csv"))
+        assert [r["iteration"] for r in rows] == list("1234")
+        drop_wall = [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
+        assert drop_wall == [{k: v for k, v in r.items() if k != "wall_ms"}
+                             for r in read_metrics_csv(os.path.join(full, "metrics.csv"))]
+        walls = [float(r["wall_ms"]) for r in rows]
+        assert walls == sorted(walls)
+        assert not os.path.exists(os.path.join(out, "metrics.csv.tmp"))
 
     def test_resume_on_other_data_or_model_exits_1(self, tmp_path, capsys):
         out = str(tmp_path / "d")
@@ -608,17 +655,32 @@ class TestCli:
         out = str(tmp_path / "s")
         assert main(["train", *self.SMALL, "--method", method, *flags, "--out-dir", out]) == 0
         cfg = load_config(os.path.join(out, "run.cfg"))
-        assert (cfg.iterations, cfg.kappa, cfg.total_steps) == schedule
+        assert (cfg.iterations, cfg.steps_per_booster, cfg.total_steps) == schedule
         state = load_checkpoint(os.path.join(out, "checkpoint.xgbl"))
         assert (state.config["iterations"], state.config["steps_per_booster"]) == schedule[:2]
+
+    def test_run_cfg_records_the_config_that_ran(self, tmp_path):
+        """lora adapts every layer, so a lora run asked for --layers 2 of 4
+        records sample_layers=4, as its checkpoint does."""
+        from xgblora.config import load_config
+
+        out = str(tmp_path / "lora")
+        assert main(["train", "--method", "lora", "--seed", "0", "--task", "parity-seq", "--n-layers", "4",
+                     "--seq-len", "4", "--n-examples", "16", "--batch-size", "8", "-K", "4",
+                     "--layers", "2", "--out-dir", out]) == 0
+        cfg = load_config(os.path.join(out, "run.cfg"))
+        config = load_checkpoint(os.path.join(out, "checkpoint.xgbl")).config
+        assert cfg.sample_layers == config["sample_layers"] == 4
+        assert {k: getattr(cfg, k) for k in config if k != "record_merge_loss"} == {
+            k: v for k, v in config.items() if k != "record_merge_loss"}
 
     def test_full_ft_reads_only_total_steps(self, tmp_path):
         from xgblora.config import load_config
 
         out = str(tmp_path / "ft")
-        assert main(["train", *self.SMALL, "--method", "full-ft", "-T", "3", "--out-dir", out]) == 0
+        assert main(["train", *self.TASK, "--method", "full-ft", "-T", "3", "--out-dir", out]) == 0
         cfg = load_config(os.path.join(out, "run.cfg"))
-        assert (cfg.iterations, cfg.kappa, cfg.total_steps) == (None, None, 256)
+        assert (cfg.iterations, cfg.steps_per_booster, cfg.total_steps) == (None, None, 256)
         assert load_checkpoint(os.path.join(out, "checkpoint.xgbl")).step == 256
 
     @pytest.mark.parametrize("argv", [

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from xgblora import models as mz
-from xgblora.boosting import full_finetune
+from xgblora.boosting import TrainConfig, full_finetune
 from xgblora.tasks import gen_sequence_dataset, gen_teacher_dataset, quadratic_optimum
 from xgblora.tensor import Rng
 
@@ -22,13 +22,13 @@ class TestTeacherDataset:
     def test_full_finetune_drives_loss_down(self):
         data, task = gen_teacher_dataset("teacher-matrix", [4, 4], n=64, seed=7)
         model = task.make_student()
-        full_finetune(model, data, total_steps=600, eta=0.2, batch_size=64, seed=1)
+        full_finetune(model, data, TrainConfig(total_steps=600, eta=0.2, batch_size=64, seed=1))
         assert mz.loss_eval(model, data) < 1e-8
 
     def test_single_example_accepted(self):
         data, task = gen_teacher_dataset("teacher-matrix", [3, 3], n=1, seed=1)
         model = task.make_student()
-        full_finetune(model, data, total_steps=3, eta=0.01, batch_size=1, seed=1)
+        full_finetune(model, data, TrainConfig(total_steps=3, eta=0.01, batch_size=1, seed=1))
 
     def test_zero_delta_teacher_equals_start(self):
         data, task = gen_teacher_dataset("teacher-matrix", [4, 4], n=16, seed=3, delta_scale=0.0)
@@ -85,7 +85,7 @@ class TestParityCalibration:
         train = gen_sequence_dataset("parity", seq_len=5, n=512, seed=0)
         model = build_transformer(vocab=2, d_model=32, n_layers=2, n_heads=4,
                                   d_ff=64, rng=Rng(1), max_seq=5)
-        full_finetune(model, train, total_steps=2000, eta=0.5, batch_size=64, seed=3)
+        full_finetune(model, train, TrainConfig(total_steps=2000, eta=0.5, batch_size=64, seed=3))
         assert accuracy(model, train) > 0.95
 
 
