@@ -266,10 +266,11 @@ class BoostRun:
         return run
 
     def save(self, path):
-        save_checkpoint(path, self.model, step=self.global_step, booster=self.booster,
-                        rng_state=self.rng.state, adapters=self.adapters, config=asdict(self.cfg),
-                        data_sha256=self.data.sha256(),
-                        trace=None if self.trace is None else self.trace.saved())
+        save_checkpoint(path, CheckpointState(
+            model=self.model, step=self.global_step, booster=self.booster, rng_state=self.rng.state,
+            adapters=self.adapters, config=asdict(self.cfg), data_sha256=self.data.sha256(),
+            trace=None if self.trace is None else self.trace.saved(),
+        ))
 
     @property
     def done(self) -> bool:
@@ -320,16 +321,11 @@ def boost_step(run: BoostRun, stop_after_step: Optional[int] = None,
     return run.global_step - start
 
 
-def xgblora_fit(
-    model: ModelSpec,
-    data: Dataset,
-    cfg: BoostConfig,
-    on_merge: Optional[Callable] = None,
-) -> tuple[ModelSpec, list[BoosterTrace]]:
+def xgblora_fit(model: ModelSpec, data: Dataset, cfg: BoostConfig) -> tuple[ModelSpec, list[BoosterTrace]]:
     """Run a fresh boosting run from start to end. To pause and resume,
-    use `BoostRun` with `boost_step`."""
+    or to act on each merge, use `BoostRun` with `boost_step`."""
     run = BoostRun.start(model, data, cfg)
-    boost_step(run, on_merge=on_merge)
+    boost_step(run)
     return run.model, run.traces
 
 

@@ -1,4 +1,8 @@
-"""Checkpoints: the uncompressed ZIP of `.npy` entries that `np.savez` writes,
+"""Checkpoints: `save_checkpoint(path, state)` writes the `CheckpointState`
+that `load_checkpoint(path)` returns, so a loaded state saved again writes
+the file it came from, byte for byte.
+
+The file is the uncompressed ZIP of `.npy` entries that `np.savez` writes,
 read with `np.load(path, allow_pickle=False)`. Each entry's CRC-32 makes a
 torn or corrupted file fail to load; raw float64 entries make resume
 bit-exact; entries are dated 1980-01-01, so one state writes the same bytes;
@@ -79,18 +83,17 @@ def _wid(name: str) -> WeightId:
         raise CheckpointError(f"bad weight id {name!r}") from None
 
 
-def save_checkpoint(path, model: ModelSpec, step: int = 0, booster: int = 0,
-                    rng_state: int = 0, adapters: Optional[AdapterSet] = None,
-                    config: Optional[dict] = None, data_sha256: Optional[str] = None,
-                    trace: Optional[dict] = None):
-    """Write a temp file beside `path`, fsync it and rename it onto `path`,
-    so a failed write leaves the previous checkpoint intact."""
-    meta = dict(version=VERSION, step=step, booster=booster, rng_state=rng_state,
-                spec=model.structure(), config=config, data=data_sha256)
+def save_checkpoint(path, state: CheckpointState):
+    """Write `state`, the record `load_checkpoint` returns, to a temp file
+    beside `path`, fsync it and rename it onto `path`, so a failed write
+    leaves the previous checkpoint intact."""
+    model, adapters = state.model, state.adapters
+    meta = dict(version=VERSION, step=state.step, booster=state.booster, rng_state=state.rng_state,
+                spec=model.structure(), config=state.config, data=state.data_sha256)
     entries = {f"w/{wid}": model.weights[wid].data for wid in sorted(model.weights, key=sort_key)}
     if adapters is not None:
         adapters.check_live()
-        meta.update(booster_index=adapters.booster_index, trace=trace)
+        meta.update(booster_index=adapters.booster_index, trace=state.trace)
         for wid in adapters.targets():
             pair = adapters.pairs[wid]
             entries.update({f"a/{wid}": pair.a.data, f"b/{wid}": pair.b.data, f"a0/{wid}": pair.a_init})

@@ -35,7 +35,7 @@ from xgblora.boosting import (
     full_finetune,
     lora_config,
 )
-from xgblora.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from xgblora.checkpoint import CheckpointError, CheckpointState, load_checkpoint, save_checkpoint
 from xgblora.config import ConfigFileError, RunConfig, load_config, save_config
 from xgblora.models import accuracy, build_transformer, loss_eval
 from xgblora.reporting import (
@@ -79,8 +79,9 @@ def _schedule(cfg: RunConfig, model) -> Optional[BoostConfig]:
     of the BoostConfig that runs back into `cfg`, so run.cfg records the
     config that ran; returns that BoostConfig (None for full-ft). xgblora
     fills in steps_per_booster=8, then total_steps=256, until two of the
-    three are known, and BoostConfig derives the third. lora and full-ft
-    read only total_steps (default 256); lora adapts every layer."""
+    three are known, and BoostConfig derives the third; it samples at most
+    the model's depth of layers. lora and full-ft read only total_steps
+    (default 256); lora adapts every layer."""
     if cfg.method == "xgblora":
         for name, default in (("steps_per_booster", 8), ("total_steps", 256)):
             known = sum(v is not None for v in (cfg.iterations, cfg.steps_per_booster, cfg.total_steps))
@@ -92,6 +93,7 @@ def _schedule(cfg: RunConfig, model) -> Optional[BoostConfig]:
         if cfg.method == "full-ft":
             return None
     train = {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)}
+    train["sample_layers"] = min(cfg.sample_layers, model.layers)
     bc = lora_config(model, **train) if cfg.method == "lora" else BoostConfig(**train)
     for name in train:
         setattr(cfg, name, getattr(bc, name))
@@ -132,7 +134,7 @@ def cmd_train(args) -> int:
                 model, losses = full_finetune(model, data, cfg)
                 mw.write_step(1, len(losses), losses[-1], model_update_bytes(model))
             final = _final_train_loss(model, data)
-            save_checkpoint(ckpt_path, model, step=len(losses))
+            save_checkpoint(ckpt_path, CheckpointState(model, step=len(losses), booster=0, rng_state=0))
             print(f"final loss {final:.6g}")
             return EXIT_OK
 
@@ -140,12 +142,7 @@ def cmd_train(args) -> int:
         resume_step = run.global_step if args.resume else None
         with MetricsWriter(metrics_path, run_id, model.total_params(), resume_step) as mw:
             def on_merge(trace):
-                nbytes = adapter_update_bytes(run.adapters)
-                if cfg.verbose_metrics:
-                    first = run.global_step - len(trace.step_losses) + 1
-                    for i, loss in enumerate(trace.step_losses):
-                        mw.write_step(trace.t, first + i, loss, nbytes)
-                mw.write_iteration(trace, run.global_step, nbytes)
+                mw.write_iteration(trace, run.global_step, adapter_update_bytes(run.adapters))
 
             boost_step(run, stop_after_step=args.stop_after_step, on_merge=on_merge)
         final = _final_train_loss(model, data)
@@ -233,7 +230,15 @@ def _rotation_teacher(seed: int):
 PROBES = ("lemma1", "lemma2", "lemma3", "theorem1", "theorem2")
 
 
+def _check_seeds(args):
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+
+
 def cmd_probe(args) -> int:
+    _check_seeds(args)
+    if args.runs < 9:
+        raise ConfigError(f"--runs must be >= 9, one booster per lemma2 rank x kappa config, got {args.runs}")
     worst = EXIT_OK
     for which in PROBES if args.which == "all" else (args.which,):
         print(f"== probe {which} ==")
@@ -250,9 +255,7 @@ def _probe_report(which: str, args):
             task, data, r_grid=(1, 2, 4, 8, 16), m_grid=(4, 16, 64), seeds=seeds
         )
     elif which == "lemma2":
-        corpus = probes.run_booster_corpus(
-            boosters_per_config=max(1, args.runs // 9), seed=args.seed
-        )
+        corpus = probes.run_booster_corpus(boosters_per_config=args.runs // 9, seed=args.seed)
         report = probes.update_norm_probe(corpus)
     elif which == "lemma3":
         data, task = gen_teacher_dataset("teacher-matrix", [6, 4], n=64, seed=args.seed)
@@ -287,6 +290,7 @@ def cmd_sweep(args) -> int:
     single-adapter (T=1) arm per --ranks value not yet in the grid, on the
     rotation teacher. kappa: the parity transformer at kappa = K/T for each
     --iterations value T."""
+    _check_seeds(args)
     budget = args.total_steps
     # every T must divide K before any arm runs
     kappas = [BoostConfig(iterations=t, total_steps=budget).steps_per_booster for t in args.iterations]
@@ -384,7 +388,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--stop-after-step", type=int)
     p.add_argument("--resume", help="checkpoint to resume from")
-    p.add_argument("--verbose-metrics", action="store_true", default=None, dest="verbose_metrics")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("gb-demo", help="classic residual-fitting gradient boosting on 1-D data")
@@ -399,7 +402,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=(*PROBES, "all"))
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--seeds", type=int, default=5, help="replicates per grid point")
-    p.add_argument("--runs", type=int, default=54, help="booster count for lemma2")
+    p.add_argument("--runs", type=int, default=54, help="lemma2 boosters, split over its 9 rank x kappa configs")
     p.add_argument("--out-dir", default="runs/probe")
     p.set_defaults(fn=cmd_probe)
 

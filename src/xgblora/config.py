@@ -34,7 +34,6 @@ class RunConfig(TrainConfig):
     d_ff: int = 64
     # run plumbing
     out_dir: str = "runs/out"
-    verbose_metrics: bool = False
 
     def validate(self):
         if self.method not in _READS["method"]:
@@ -89,12 +88,6 @@ def _parse_value(name: str, raw: str):
             return float(raw)
         except ValueError as exc:
             raise ConfigFileError(f"{name}: expected float, got {raw!r}") from exc
-    if base == "bool":
-        if raw in ("true", "1", "yes"):
-            return True
-        if raw in ("false", "0", "no"):
-            return False
-        raise ConfigFileError(f"{name}: expected bool, got {raw!r}")
     return raw
 
 
@@ -102,11 +95,7 @@ def serialize_config(cfg: RunConfig) -> str:
     lines = ["# run configuration (key=value)"]
     for f in fields(RunConfig):
         v = getattr(cfg, f.name)
-        if v is None:
-            v = "none"
-        elif isinstance(v, bool):
-            v = "true" if v else "false"
-        lines.append(f"{f.name}={v}")
+        lines.append(f"{f.name}={'none' if v is None else v}")
     return "\n".join(lines) + "\n"
 
 

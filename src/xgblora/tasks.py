@@ -18,6 +18,8 @@ from xgblora.tensor import Rng
 
 TEACHER_KINDS = ("teacher-matrix", "teacher-mlp")
 SEQUENCE_KINDS = ("parity",)
+HELDOUT_N = 512  # fresh inputs of every held-out error
+HELDOUT_SEED = 0xE7A1
 
 
 @dataclass
@@ -44,9 +46,10 @@ class TeacherTask:
             y = y + self.noise * rng.gaussian(y.shape)
         return y
 
-    def heldout_error(self, model: ModelSpec, n: int = 512, seed: int = 0xE7A1) -> float:
-        """Mean squared output gap to the noiseless teacher on fresh inputs."""
-        x = self.sample_inputs(n, Rng(seed))
+    def heldout_error(self, model: ModelSpec) -> float:
+        """Mean squared output gap to the noiseless teacher on HELDOUT_N
+        fresh inputs, the same ones for every call."""
+        x = self.sample_inputs(HELDOUT_N, Rng(HELDOUT_SEED))
         student_out = forward(model, x).data
         teacher_out = forward(self.teacher, x).data
         return float(((student_out - teacher_out) ** 2).mean())

@@ -3,7 +3,7 @@ finite-difference gradient oracle.
 
 The op set is deliberately small: matmul, transpose, add/sub/mul, scalar
 ops, relu, gelu (tanh form), row softmax, layer norm, embedding gather,
-reshape, sum/mean, cross-entropy-with-logits, mse. Tensor data is always
+reshape, sum, cross-entropy-with-logits, mse. Tensor data is always
 float64, the one precision; a fixed seed gives bit-identical runs. A test
 pins that a short parity fit ends on the same weight bits with OpenBLAS on
 one thread and on two; other BLAS builds and thread counts are not checked.
@@ -282,12 +282,15 @@ def softmax(t: Tensor) -> Tensor:
     return out
 
 
-def layer_norm(t: Tensor, eps: float = 1e-5) -> Tensor:
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(t: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance (no affine part)."""
     x = t.data
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     y = (x - mu) * inv
 
     def _bw():
@@ -326,14 +329,14 @@ def reshape(t: Tensor, shape) -> Tensor:
     return out
 
 
-def tsum(t: Tensor, axis=None, keepdims=False) -> Tensor:
-    out_data = t.data.sum(axis=axis, keepdims=keepdims)
-    if axis is None and not keepdims:
+def tsum(t: Tensor, axis=None) -> Tensor:
+    out_data = t.data.sum(axis=axis)
+    if axis is None:
         out_data = np.asarray(out_data)
 
     def _bw():
         g = out.grad
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         t._accumulate(np.broadcast_to(g, t.data.shape).copy())
 
@@ -459,18 +462,18 @@ class Rng:
     def next_u64(self) -> int:
         return int(self._raw(1)[0])
 
-    def uniform(self, shape=()) -> np.ndarray:
+    def uniform(self, shape) -> np.ndarray:
         """iid uniforms in [0, 1) with 53-bit resolution."""
-        n = int(np.prod(shape)) if shape else 1
+        n = int(np.prod(shape))
         u = (self._raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        return u.reshape(shape) if shape else u[0]
+        return u.reshape(shape)
 
-    def gaussian(self, shape=()) -> np.ndarray:
+    def gaussian(self, shape) -> np.ndarray:
         """iid standard normals via Box-Muller on the uniform stream.
 
         Consumes 2·ceil(n/2) raw draws for n samples.
         """
-        n = int(np.prod(shape)) if shape else 1
+        n = int(np.prod(shape))
         m = (n + 1) // 2
         raw = self._raw(2 * m)
         u1 = ((raw[:m] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53  # (0, 1]
@@ -480,8 +483,7 @@ class Rng:
         z = np.empty(2 * m, dtype=np.float64)
         z[0::2] = r * np.cos(theta)
         z[1::2] = r * np.sin(theta)
-        z = z[:n]
-        return z.reshape(shape) if shape else z[0]
+        return z[:n].reshape(shape)
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n) via multiply-shift."""

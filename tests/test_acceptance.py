@@ -23,7 +23,7 @@ from xgblora.boosting import (
     lora_config,
     xgblora_fit,
 )
-from xgblora.checkpoint import load_checkpoint, save_checkpoint
+from xgblora.checkpoint import CheckpointState, load_checkpoint, save_checkpoint
 from xgblora.lora import init_adapter_set, merge_adapters, param_count
 from xgblora.models import Role, WeightId, build_mlp, build_transformer
 from xgblora.reporting import MetricsWriter, emit_report
@@ -427,7 +427,7 @@ class TestCriterion13OperationalShell:
         # checkpoint round trip, bitwise
         model = build_transformer(vocab=7, d_model=8, n_layers=2, n_heads=2, d_ff=16, rng=Rng(8))
         ck = tmp_path / "m.xgbl"
-        save_checkpoint(ck, model, step=5, booster=2, rng_state=42)
+        save_checkpoint(ck, CheckpointState(model, step=5, booster=2, rng_state=42))
         loaded = load_checkpoint(ck)
         for wid in model.weights:
             assert np.array_equal(loaded.model.weights[wid].data, model.weights[wid].data)

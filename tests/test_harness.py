@@ -9,6 +9,7 @@ from xgblora.boosting import BoostConfig, BoostRun, ConfigError, boost_step, xgb
 from xgblora.checkpoint import (
     BadMagic,
     CheckpointError,
+    CheckpointState,
     TruncatedCheckpoint,
     VersionMismatch,
     load_checkpoint,
@@ -30,7 +31,7 @@ class TestConfig:
 
     def test_round_trip_modified(self):
         cfg = RunConfig(method="lora", eta=0.125, iterations=7, total_steps=None,
-                        task="teacher-mlp", verbose_metrics=True, dims="4,8,2")
+                        task="teacher-mlp", dims="4,8,2")
         assert parse_config(serialize_config(cfg)) == cfg
 
     def test_comments_and_blank_lines(self):
@@ -65,10 +66,10 @@ class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         model = small_model()
         path = tmp_path / "m.xgbl"
-        save_checkpoint(path, model, step=17, booster=3, rng_state=0xABCDEF)
+        save_checkpoint(path, CheckpointState(model, step=17, booster=3, rng_state=0xABCDEF))
         state = load_checkpoint(path)
         # every entry is dated 1980-01-01, so one state always writes the same bytes
-        save_checkpoint(tmp_path / "again.xgbl", model, step=17, booster=3, rng_state=0xABCDEF)
+        save_checkpoint(tmp_path / "again.xgbl", CheckpointState(model, step=17, booster=3, rng_state=0xABCDEF))
         assert (tmp_path / "again.xgbl").read_bytes() == path.read_bytes()
         assert state.step == 17
         assert state.booster == 3
@@ -80,7 +81,7 @@ class TestCheckpoint:
     def test_forward_identical_after_round_trip(self, tmp_path):
         model = build_transformer(vocab=6, d_model=8, n_layers=2, n_heads=2, d_ff=16, rng=Rng(3))
         path = tmp_path / "t.xgbl"
-        save_checkpoint(path, model)
+        save_checkpoint(path, CheckpointState(model, step=0, booster=0, rng_state=0))
         loaded = load_checkpoint(path).model
         ids = np.array([[1, 2, 3, 4]])
         assert np.array_equal(mz.forward(model, ids).data, mz.forward(loaded, ids).data)
@@ -91,7 +92,7 @@ class TestCheckpoint:
         for p in adapters.pairs.values():
             p.b.data = Rng(8).gaussian(p.b.shape)
         path = tmp_path / "a.xgbl"
-        save_checkpoint(path, model, adapters=adapters)
+        save_checkpoint(path, CheckpointState(model, step=0, booster=0, rng_state=0, adapters=adapters))
         state = load_checkpoint(path)
         assert state.adapters is not None
         assert state.adapters.booster_index == 4
@@ -125,18 +126,37 @@ class TestCheckpoint:
         with pytest.raises(VersionMismatch, match="version 99,"):
             load_checkpoint(path)
 
+    def test_loaded_state_saves_the_same_bytes(self, tmp_path):
+        """save_checkpoint writes the record load_checkpoint returns: a
+        mid-booster BoostRun checkpoint and a full-ft one, loaded and saved
+        again, are the same bytes."""
+        data, task = gen_teacher_dataset("teacher-matrix", [6, 6], n=64, seed=2)
+        cfg = BoostConfig(iterations=4, steps_per_booster=5, rank=2, sample_layers=1,
+                          eta=0.4, batch_size=8, seed=13)
+        run = BoostRun.start(task.make_student(), data, cfg)
+        boost_step(run, stop_after_step=7)
+        run.save(tmp_path / "mid.xgbl")
+        assert load_checkpoint(tmp_path / "mid.xgbl").trace is not None
+        ft = tmp_path / "ft"
+        assert main(["train", "--method", "full-ft", "--seed", "5", "--dims", "6,6", "--n-examples", "32",
+                     "--eta", "0.4", "--batch-size", "8", "-K", "8", "--out-dir", str(ft)]) == 0
+        for original in (tmp_path / "mid.xgbl", ft / "checkpoint.xgbl"):
+            save_checkpoint(tmp_path / "again.xgbl", load_checkpoint(original))
+            assert (tmp_path / "again.xgbl").read_bytes() == original.read_bytes(), original
+
     def test_config_round_trip(self, tmp_path):
         path = tmp_path / "c.xgbl"
-        save_checkpoint(path, small_model(), config={"eta": 0.1, "policy": "qv", "iterations": 3})
+        save_checkpoint(path, CheckpointState(small_model(), step=0, booster=0, rng_state=0,
+                                              config={"eta": 0.1, "policy": "qv", "iterations": 3}))
         assert load_checkpoint(path).config == {"eta": 0.1, "policy": "qv", "iterations": 3}
-        save_checkpoint(path, small_model())
+        save_checkpoint(path, CheckpointState(small_model(), step=0, booster=0, rng_state=0))
         assert load_checkpoint(path).config is None
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         import numpy.lib.format as npy_format
 
         path = tmp_path / "keep.xgbl"
-        save_checkpoint(path, small_model(seed=4), step=3)
+        save_checkpoint(path, CheckpointState(small_model(seed=4), step=3, booster=0, rng_state=0))
         before = path.read_bytes()
         real, calls = npy_format.write_array, []
 
@@ -148,7 +168,7 @@ class TestCheckpoint:
 
         monkeypatch.setattr(npy_format, "write_array", failing)
         with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(path, small_model(seed=9), step=4)
+            save_checkpoint(path, CheckpointState(small_model(seed=9), step=4, booster=0, rng_state=0))
         assert path.read_bytes() == before
         state = load_checkpoint(path)
         assert state.step == 3
@@ -159,7 +179,7 @@ class TestCheckpoint:
 
     def test_truncation_detected(self, tmp_path):
         path = tmp_path / "t.xgbl"
-        save_checkpoint(path, small_model())
+        save_checkpoint(path, CheckpointState(small_model(), step=0, booster=0, rng_state=0))
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(TruncatedCheckpoint):
@@ -170,7 +190,7 @@ class TestCheckpoint:
         bytes fails the load instead of loading a wrong weight."""
         path = tmp_path / "f.xgbl"
         model = small_model()
-        save_checkpoint(path, model)
+        save_checkpoint(path, CheckpointState(model, step=0, booster=0, rng_state=0))
         path.write_bytes(flip_weight_byte(path.read_bytes(), model))
         with pytest.raises(TruncatedCheckpoint, match="torn or corrupted"):
             load_checkpoint(path)
@@ -221,8 +241,9 @@ class TestResume:
                                eta=0.4, batch_size=8, seed=14)
         with pytest.raises(ConfigError, match="seed=14"):
             BoostRun.resume(state, data, reseeded)
-        save_checkpoint(tmp_path / "bare.xgbl", state.model, step=7, booster=2, adapters=state.adapters,
-                        config=state.config, data_sha256=data.sha256())
+        save_checkpoint(tmp_path / "bare.xgbl", CheckpointState(
+            state.model, step=7, booster=2, rng_state=0, adapters=state.adapters,
+            config=state.config, data_sha256=data.sha256()))
         with pytest.raises(ConfigError, match="without its trace"):
             BoostRun.resume(load_checkpoint(tmp_path / "bare.xgbl"), data, cfg)
 
@@ -372,6 +393,11 @@ class TestCli:
         bad.write_text("kappa=8\n")
         assert main(["train", "--config", str(bad), "--seed", "1", "--out-dir", str(tmp_path / "old")]) == 1
         assert "unknown key 'kappa'" in capsys.readouterr().err
+        assert not (tmp_path / "old").exists()
+        # a run.cfg written while per-step metrics rows could be asked for
+        bad.write_text("verbose_metrics=false\n")
+        assert main(["train", "--config", str(bad), "--seed", "1", "--out-dir", str(tmp_path / "old")]) == 1
+        assert "unknown key 'verbose_metrics'" in capsys.readouterr().err
         assert not (tmp_path / "old").exists()
         rc = main(["train", "--method", "full-ft", "--batch-size", "0", "--seed", "1",
                    "--out-dir", str(tmp_path / "ft")])
@@ -533,19 +559,6 @@ class TestCli:
             assert float(row["trainable_permille"]) == pytest.approx(want, rel=1e-9)
             assert want == pytest.approx(every_layer / 2)
 
-    def test_verbose_metrics_writes_per_step_rows(self, tmp_path):
-        from xgblora.reporting import read_metrics_csv
-
-        out_dir = str(tmp_path / "vm")
-        main([
-            "train", "--method", "xgblora", "--seed", "2", "--task", "teacher-matrix",
-            "--dims", "6,6", "--n-examples", "32", "-T", "2", "--kappa", "3",
-            "--r", "1", "--layers", "1", "--eta", "0.3", "--batch-size", "8",
-            "--out-dir", out_dir, "--verbose-metrics",
-        ])
-        rows = read_metrics_csv(os.path.join(out_dir, "metrics.csv"))
-        assert len(rows) == 2 * 3 + 2  # per-step rows plus one per merge
-
     TASK = [
         "--seed", "5", "--task", "teacher-matrix", "--dims", "6,6", "--n-examples", "32",
         "--eta", "0.4", "--batch-size", "8",
@@ -581,19 +594,18 @@ class TestCli:
             return [{k: v for k, v in r.items() if k != "wall_ms"}
                     for r in read_metrics_csv(os.path.join(d, "metrics.csv"))]
 
-        for verbose in ([], ["--verbose-metrics"]):
-            common = ["train", *self.SMALL, "-T", "4", "--kappa", "5", *verbose]
-            full_dir = str(tmp_path / f"full{len(verbose)}")
-            assert main([*common, "--out-dir", full_dir]) == 0
-            assert len(rows(full_dir)) == (4 * 5 + 4 if verbose else 4)
-            for pause in (3, 7):
-                out = str(tmp_path / f"part{len(verbose)}-{pause}")
-                assert main([*common, "--out-dir", out, "--stop-after-step", str(pause)]) == 0
-                assert main([*common, "--out-dir", out, "--resume", os.path.join(out, "checkpoint.xgbl")]) == 0
-                assert rows(out) == rows(full_dir), (verbose, pause)
-                # the resumed run's clock continues from the last row written before the pause
-                walls = [float(r["wall_ms"]) for r in read_metrics_csv(os.path.join(out, "metrics.csv"))]
-                assert walls == sorted(walls), (verbose, pause)
+        common = ["train", *self.SMALL, "-T", "4", "--kappa", "5"]
+        full_dir = str(tmp_path / "full")
+        assert main([*common, "--out-dir", full_dir]) == 0
+        assert len(rows(full_dir)) == 4
+        for pause in (3, 7):
+            out = str(tmp_path / f"part-{pause}")
+            assert main([*common, "--out-dir", out, "--stop-after-step", str(pause)]) == 0
+            assert main([*common, "--out-dir", out, "--resume", os.path.join(out, "checkpoint.xgbl")]) == 0
+            assert rows(out) == rows(full_dir), pause
+            # the resumed run's clock continues from the last row written before the pause
+            walls = [float(r["wall_ms"]) for r in read_metrics_csv(os.path.join(out, "metrics.csv"))]
+            assert walls == sorted(walls), pause
 
     def test_metrics_not_repeated_after_torn_resume(self, tmp_path, monkeypatch):
         """A resumed run stopped after its merges but before its final
@@ -661,18 +673,23 @@ class TestCli:
 
     def test_run_cfg_records_the_config_that_ran(self, tmp_path):
         """lora adapts every layer, so a lora run asked for --layers 2 of 4
-        records sample_layers=4, as its checkpoint does."""
+        records sample_layers=4; an xgblora run samples at most the model's
+        depth, so the default --layers 8 on the 1-layer teacher records 1.
+        run.cfg and the checkpoint agree."""
         from xgblora.config import load_config
 
-        out = str(tmp_path / "lora")
-        assert main(["train", "--method", "lora", "--seed", "0", "--task", "parity-seq", "--n-layers", "4",
-                     "--seq-len", "4", "--n-examples", "16", "--batch-size", "8", "-K", "4",
-                     "--layers", "2", "--out-dir", out]) == 0
-        cfg = load_config(os.path.join(out, "run.cfg"))
-        config = load_checkpoint(os.path.join(out, "checkpoint.xgbl")).config
-        assert cfg.sample_layers == config["sample_layers"] == 4
-        assert {k: getattr(cfg, k) for k in config if k != "record_merge_loss"} == {
-            k: v for k, v in config.items() if k != "record_merge_loss"}
+        for i, (argv, depth) in enumerate([
+            (["--method", "lora", "--task", "parity-seq", "--n-layers", "4", "--seq-len", "4",
+              "--n-examples", "16", "--batch-size", "8", "-K", "4", "--layers", "2"], 4),
+            (["-T", "2"], 1),
+        ]):
+            out = str(tmp_path / f"run{i}")
+            assert main(["train", "--seed", "0", *argv, "--out-dir", out]) == 0
+            cfg = load_config(os.path.join(out, "run.cfg"))
+            config = load_checkpoint(os.path.join(out, "checkpoint.xgbl")).config
+            assert cfg.sample_layers == config["sample_layers"] == depth, argv
+            assert {k: getattr(cfg, k) for k in config if k != "record_merge_loss"} == {
+                k: v for k, v in config.items() if k != "record_merge_loss"}
 
     def test_full_ft_reads_only_total_steps(self, tmp_path):
         from xgblora.config import load_config
@@ -716,6 +733,25 @@ class TestCli:
         assert [p["params"] for p in report["points"]] == points
         assert rc == (0 if report["passed"] else 3)
         assert (tmp_path / kind / f"{probe}.svg").read_text(encoding="utf-8").startswith("<svg")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["probe", "theorem1", "--seed", "0", "--seeds", "0"], "--seeds"),
+        (["probe", "all", "--seed", "0", "--seeds", "-1"], "--seeds"),
+        (["sweep", "rank-iter", "--seeds", "0"], "--seeds"),
+        (["sweep", "kappa", "--seeds", "0"], "--seeds"),
+        (["probe", "lemma2", "--seed", "0", "--runs", "0"], "--runs"),
+        (["probe", "lemma2", "--seed", "0", "--runs", "8"], "--runs"),
+    ])
+    def test_probe_and_sweep_reject_unusable_counts(self, tmp_path, capsys, argv, flag):
+        """No replicate, or fewer lemma2 boosters than its 9 rank x kappa
+        configs, exits 1 naming the flag before anything is trained or
+        written."""
+        out = tmp_path / "x"
+        assert main([*argv, "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag} must be >=") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_sweep_kappa_rejects_ranks(self, tmp_path, capsys):
         assert main(["sweep", "kappa", "--ranks", "2", "--out-dir", str(tmp_path / "k")]) == 1

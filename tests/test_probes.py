@@ -278,7 +278,7 @@ class TestPickStepSize:
 
         monkeypatch.setattr(probes, "loss_eval", nan_on_overflow)
         rep = expressiveness_sweep(task, data, total_steps=1, rt_grid=[(1, 1)], seeds=range(2),
-                                   eta_grid=(1e300, 0.5), batch_size=16, heldout_n=64)
+                                   eta_grid=(1e300, 0.5), batch_size=16)
         assert rep.point(r=1, t=1).extras["eta"] == [0.5, 0.5]
 
 
