@@ -195,7 +195,6 @@ def train_booster(
     if trace is None:
         trace = BoosterTrace.for_adapters(adapters)
     params = adapters.trainable_params()
-    a_init = {str(wid): pair.a_init for wid, pair in adapters.pairs.items()}
 
     kappa = cfg.steps_per_booster
     todo = kappa - trace.steps
@@ -225,7 +224,7 @@ def train_booster(
             ps = trace.pair_stats[str(wid)]
             ps.a_norm = frobenius_norm(pair.a)
             ps.b_norm = frobenius_norm(pair.b)
-            ps.a_update_norm = frobenius_norm(pair.a.data - a_init[str(wid)])
+            ps.a_update_norm = frobenius_norm(pair.a.data - pair.a_init)
     return trace
 
 
@@ -246,6 +245,10 @@ class BoostRun:
 
     @classmethod
     def start(cls, model: ModelSpec, data: Dataset, cfg: BoostConfig) -> "BoostRun":
+        """A fresh run. A `sample_layers` deeper than the model raises
+        ConfigError, so a checkpoint records the value that ran."""
+        if cfg.sample_layers > model.layers:
+            raise ConfigError(f"sample_layers={cfg.sample_layers} exceeds the model's {model.layers} layers")
         return cls(model=model, data=data, cfg=cfg, rng=Rng(cfg.seed))
 
     @classmethod
@@ -297,7 +300,7 @@ def boost_step(run: BoostRun, stop_after_step: Optional[int] = None,
     start = run.global_step
     while not run.done and (stop_after_step is None or run.global_step < stop_after_step):
         if run.adapters is None:
-            layers = set(select_layers(run.rng, model.layers, min(cfg.sample_layers, model.layers)))
+            layers = set(select_layers(run.rng, model.layers, cfg.sample_layers))
             targets = [wid for wid in list_adaptable_weights(model, policy=cfg.policy) if wid.layer in layers]
             run.adapters = init_adapter_set(model, targets, cfg.rank, run.rng, booster_index=run.booster)
             run.trace = BoosterTrace.for_adapters(run.adapters)

@@ -11,7 +11,8 @@ a write is atomic (temp file, then rename).
 Entries (a weight id `wid` is written as `str(wid)`, e.g. `L0.attn_q`):
     meta       one JSON string: version (7), step (global optimizer step),
                booster (1-based index of the booster in progress, 0 = none),
-               rng_state, spec (model structure), config (the run's
+               rng_state, spec (`ModelSpec.structure()`: every ModelSpec
+               field but the weights), config (the run's
                BoostConfig fields, or null when no boosting run wrote the
                file, e.g. full fine-tuning), data (hex sha256 of the run's
                dataset, or null), n_arrays (the count of entries below, so a
@@ -20,8 +21,9 @@ Entries (a weight id `wid` is written as `str(wid)`, e.g. `L0.attn_q`):
                booster's step losses and per-pair statistics so far, or null)
     w/<wid>    each base weight
     a/<wid>, b/<wid>, a0/<wid>
-               A, B and A at birth of each live adapter pair; the rank is
-               A's second dimension
+               A, B and A at birth of each live adapter pair: the three
+               fields of its `LoraPair`, whose target is `wid` and whose
+               rank is A's second dimension
 """
 
 from __future__ import annotations
@@ -138,12 +140,11 @@ def load_checkpoint(path) -> CheckpointState:
     weights, a, b, a_init = groups.values()
     if not a.keys() == b.keys() == a_init.keys():
         raise CheckpointError("the a/, b/ and a0/ entries name different weights")
-    model = ModelSpec.from_structure(meta["spec"], {wid: Tensor(w) for wid, w in weights.items()})
+    model = ModelSpec(weights={wid: Tensor(w) for wid, w in weights.items()}, **meta["spec"])
     adapters = None
     if "booster_index" in meta:
         pairs = {
-            wid: LoraPair(target=wid, a=Tensor(a[wid], requires_grad=True),
-                          b=Tensor(b[wid], requires_grad=True), r=a[wid].shape[1], _a_init=a_init[wid])
+            wid: LoraPair(Tensor(a[wid], requires_grad=True), Tensor(b[wid], requires_grad=True), a_init[wid])
             for wid in a
         }
         adapters = AdapterSet(pairs=pairs, booster_index=meta["booster_index"])

@@ -35,17 +35,11 @@ from xgblora.boosting import (
     full_finetune,
     lora_config,
 )
-from xgblora.checkpoint import CheckpointError, CheckpointState, load_checkpoint, save_checkpoint
-from xgblora.config import ConfigFileError, RunConfig, load_config, save_config
+from xgblora.checkpoint import CheckpointState, load_checkpoint, save_checkpoint
+from xgblora.config import RunConfig, load_config, save_config
+from xgblora.lora import param_count
 from xgblora.models import accuracy, build_transformer, loss_eval
-from xgblora.reporting import (
-    MetricsWriter,
-    ReportError,
-    adapter_update_bytes,
-    emit_report,
-    model_update_bytes,
-    svg_line_plot,
-)
+from xgblora.reporting import MetricsWriter, emit_report, svg_line_plot
 from xgblora.tasks import gen_sequence_dataset, gen_teacher_dataset
 from xgblora.tensor import Rng
 
@@ -132,7 +126,7 @@ def cmd_train(args) -> int:
         if cfg.method == "full-ft":
             with MetricsWriter(metrics_path, run_id, model.total_params()) as mw:
                 model, losses = full_finetune(model, data, cfg)
-                mw.write_step(1, len(losses), losses[-1], model_update_bytes(model))
+                mw.write_step(1, len(losses), losses[-1], model.total_params())
             final = _final_train_loss(model, data)
             save_checkpoint(ckpt_path, CheckpointState(model, step=len(losses), booster=0, rng_state=0))
             print(f"final loss {final:.6g}")
@@ -142,7 +136,7 @@ def cmd_train(args) -> int:
         resume_step = run.global_step if args.resume else None
         with MetricsWriter(metrics_path, run_id, model.total_params(), resume_step) as mw:
             def on_merge(trace):
-                mw.write_iteration(trace, run.global_step, adapter_update_bytes(run.adapters))
+                mw.write_iteration(trace, run.global_step, param_count(model, run.adapters)["trainable"])
 
             boost_step(run, stop_after_step=args.stop_after_step, on_merge=on_merge)
         final = _final_train_loss(model, data)
@@ -237,8 +231,8 @@ def _check_seeds(args):
 
 def cmd_probe(args) -> int:
     _check_seeds(args)
-    if args.runs < 9:
-        raise ConfigError(f"--runs must be >= 9, one booster per lemma2 rank x kappa config, got {args.runs}")
+    if args.runs < 9 or args.runs % 9:
+        raise ConfigError(f"--runs must be >= 9 and a multiple of 9 (lemma2's 9 configs), got {args.runs}")
     worst = EXIT_OK
     for which in PROBES if args.which == "all" else (args.which,):
         print(f"== probe {which} ==")
@@ -262,14 +256,13 @@ def _probe_report(which: str, args):
         model = task.make_student()
         wid = probes.list_adaptable_weights(model)[0]
         grad_fn = probes.model_grad_fn(model, data, wid)
-        est = probes.lipschitz_probe(
+        report = probes.lipschitz_probe(
             grad_fn, model.weights[wid].shape, n_pairs=2000, radius=1.0, rng=Rng(args.seed)
         )
         beta, mu = probes.quadratic_curvature(data)
-        report = est.as_report()
         report.constants.beta = beta
         report.constants.mu = mu
-        report.checks["estimate_le_beta"] = est.value <= beta * 1.05
+        report.checks["estimate_le_beta"] = report.constants.lipschitz <= beta * 1.05
     elif which == "theorem1":
         data, task = gen_teacher_dataset("teacher-matrix", [8, 8], n=128, seed=args.seed, noise=0.2)
         report = probes.convergence_sweep(
@@ -402,7 +395,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=(*PROBES, "all"))
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--seeds", type=int, default=5, help="replicates per grid point")
-    p.add_argument("--runs", type=int, default=54, help="lemma2 boosters, split over its 9 rank x kappa configs")
+    p.add_argument("--runs", type=int, default=54,
+                   help="lemma2 boosters, a multiple of 9: split over its 9 rank x kappa configs")
     p.add_argument("--out-dir", default="runs/probe")
     p.set_defaults(fn=cmd_probe)
 
@@ -441,8 +435,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigFileError, ConfigError, CheckpointError, ReportError, ValueError,
-            FloatingPointError, OSError) as exc:  # OSError: a missing or unreadable path
+    # ValueError includes ConfigError, CheckpointError and ReportError;
+    # OSError is a missing or unreadable path
+    except (ValueError, FloatingPointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

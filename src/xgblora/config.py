@@ -3,18 +3,15 @@
 `RunConfig` is `boosting.TrainConfig` plus the fields only the shell
 reads. Every field round-trips losslessly through serialize/parse. CLI
 flags override file values; unknown keys are rejected by name so typos fail
-loudly instead of silently training the wrong thing.
+loudly instead of silently training the wrong thing. A bad key, value or
+line raises `boosting.ConfigError`, as a bad training field does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from xgblora.boosting import TrainConfig
-
-
-class ConfigFileError(ValueError):
-    """Bad config file or field value; message names the offender."""
+from xgblora.boosting import ConfigError, TrainConfig
 
 
 @dataclass
@@ -37,24 +34,24 @@ class RunConfig(TrainConfig):
 
     def validate(self):
         if self.method not in _READS["method"]:
-            raise ConfigFileError(f"method: unknown value {self.method!r}")
+            raise ConfigError(f"method: unknown value {self.method!r}")
         if self.task not in _READS["task"]:
-            raise ConfigFileError(f"task: unknown value {self.task!r}")
+            raise ConfigError(f"task: unknown value {self.task!r}")
         if self.n_examples < 1:
-            raise ConfigFileError(f"n_examples: must be >= 1, got {self.n_examples}")
+            raise ConfigError(f"n_examples: must be >= 1, got {self.n_examples}")
         super().validate()
         for kind, reads in _READS.items():
             value = getattr(self, kind)
             for name in (n for names in reads.values() for n in names if n not in reads[value]):
                 default = _FIELDS[name].default
                 if getattr(self, name) != default:
-                    raise ConfigFileError(f"{name}: {kind} {value} does not read it; leave it at {default}")
+                    raise ConfigError(f"{name}: {kind} {value} does not read it; leave it at {default}")
 
     def dims_list(self) -> list[int]:
         try:
             return [int(tok) for tok in self.dims.split(",") if tok.strip()]
         except ValueError as exc:
-            raise ConfigFileError(f"dims: expected comma-separated ints, got {self.dims!r}") from exc
+            raise ConfigError(f"dims: expected comma-separated ints, got {self.dims!r}") from exc
 
 
 # the fields each task and each method reads, of those that not all read; a
@@ -82,12 +79,12 @@ def _parse_value(name: str, raw: str):
         try:
             return int(raw)
         except ValueError as exc:
-            raise ConfigFileError(f"{name}: expected int, got {raw!r}") from exc
+            raise ConfigError(f"{name}: expected int, got {raw!r}") from exc
     if base == "float":
         try:
             return float(raw)
         except ValueError as exc:
-            raise ConfigFileError(f"{name}: expected float, got {raw!r}") from exc
+            raise ConfigError(f"{name}: expected float, got {raw!r}") from exc
     return raw
 
 
@@ -106,11 +103,11 @@ def parse_config(text: str) -> RunConfig:
         if not body:
             continue
         if "=" not in body:
-            raise ConfigFileError(f"line {lineno}: expected key=value, got {line!r}")
+            raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, raw = body.split("=", 1)
         key = key.strip()
         if key not in _FIELDS:
-            raise ConfigFileError(f"line {lineno}: unknown key {key!r}")
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         setattr(cfg, key, _parse_value(key, raw))
     cfg.validate()
     return cfg

@@ -22,19 +22,12 @@ class AdapterError(ValueError):
 
 @dataclass
 class LoraPair:
-    target: WeightId
+    """One adapter's factors. Its target is its key in `AdapterSet.pairs`
+    and its rank is A's width."""
+
     a: Tensor  # (d, r)
     b: Tensor  # (r, k)
-    r: int
-    _a_init: np.ndarray = None  # snapshot of A at birth (B is born zero)
-
-    def __post_init__(self):
-        if self._a_init is None:
-            self._a_init = self.a.data.copy()
-
-    @property
-    def a_init(self) -> np.ndarray:
-        return self._a_init
+    a_init: np.ndarray  # A at birth (B is born zero)
 
     def delta(self) -> np.ndarray:
         """Materialized A@B, detached."""
@@ -75,13 +68,7 @@ def init_adapter(model: ModelSpec, target: WeightId, r: int, rng: Rng) -> LoraPa
         raise AdapterError(f"target {target} not present in model")
     d, k = model.weights[target].data.shape
     a = rng.gaussian((d, r)) * (0.01 / np.sqrt(r))
-    pair = LoraPair(
-        target=target,
-        a=Tensor(a, requires_grad=True),
-        b=Tensor(np.zeros((r, k)), requires_grad=True),
-        r=r,
-    )
-    return pair
+    return LoraPair(Tensor(a, requires_grad=True), Tensor(np.zeros((r, k)), requires_grad=True), a.copy())
 
 
 def init_adapter_set(

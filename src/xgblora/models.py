@@ -5,7 +5,9 @@ Two model kinds, each with a fixed activation and loss: an L-layer MLP
 a tiny decoder-style transformer with pre-norm residual blocks, gelu
 feed-forward layers, learned positional embeddings, causal masking and
 cross-entropy on the last position. All weights are float64 and live in a
-flat {WeightId: Tensor} map so adapters can target any matrix.
+flat {WeightId: Tensor} map so adapters can target any matrix. A minibatch
+is a `Dataset` too: `Dataset.batch` selects one, and `forward`,
+`batch_loss`, `loss_eval` and `accuracy` take a dataset whole.
 """
 
 from __future__ import annotations
@@ -95,24 +97,10 @@ class ModelSpec:
             "max_seq": self.max_seq,
         }
 
-    @classmethod
-    def from_structure(cls, s: dict, weights: dict[WeightId, Tensor]) -> "ModelSpec":
-        return cls(
-            kind=s["kind"],
-            layers=s["layers"],
-            weights=weights,
-            dims=s.get("dims"),
-            vocab=s.get("vocab"),
-            d_model=s.get("d_model"),
-            n_heads=s.get("n_heads"),
-            d_ff=s.get("d_ff"),
-            max_seq=s.get("max_seq"),
-        )
-
     def copy(self) -> "ModelSpec":
         """Deep copy of weights; structure shared by value."""
         weights = {wid: Tensor(w.data.copy()) for wid, w in self.weights.items()}
-        return ModelSpec.from_structure(self.structure(), weights)
+        return ModelSpec(weights=weights, **self.structure())
 
     def total_params(self) -> int:
         return sum(w.data.size for w in self.weights.values())
@@ -120,8 +108,9 @@ class ModelSpec:
 
 @dataclass
 class Dataset:
-    """Paired inputs/targets. Inputs are float features (N, d) or integer
-    token sequences (N, seq); targets are float arrays or integer labels."""
+    """Paired inputs/targets, a whole dataset or a minibatch of one.
+    Inputs are float features (N, d) or integer token sequences (N, seq);
+    targets are float arrays or integer labels."""
 
     inputs: np.ndarray
     targets: np.ndarray
@@ -138,12 +127,10 @@ class Dataset:
     def n(self) -> int:
         return len(self.inputs)
 
-    def batch(self, indices) -> "Batch":
+    def batch(self, indices) -> "Dataset":
+        """The minibatch of the examples at `indices`."""
         idx = np.asarray(indices)
-        return Batch(self.inputs[idx], self.targets[idx])
-
-    def full_batch(self) -> "Batch":
-        return Batch(self.inputs, self.targets)
+        return Dataset(self.inputs[idx], self.targets[idx])
 
     def sha256(self) -> str:
         """Hex digest of the inputs and targets (dtype, shape and bytes)."""
@@ -152,20 +139,6 @@ class Dataset:
             h.update(f"{arr.dtype.str}{arr.shape}".encode())
             h.update(arr.tobytes())
         return h.hexdigest()
-
-
-@dataclass
-class Batch:
-    inputs: np.ndarray
-    targets: np.ndarray
-
-    def __post_init__(self):
-        if len(self.inputs) < 1:
-            raise ShapeError("batch must be non-empty")
-
-    @property
-    def size(self) -> int:
-        return len(self.inputs)
 
 
 def _gauss_init(rng: Rng, shape) -> Tensor:
@@ -263,7 +236,7 @@ def _resolve_weights(model: ModelSpec, adapters):
             eff[wid] = w
         else:
             d, k = w.data.shape
-            if pair.a.data.shape != (d, pair.r) or pair.b.data.shape != (pair.r, k):
+            if pair.a.data.shape[0] != d or pair.b.data.shape != (pair.a.data.shape[1], k):
                 raise ShapeError(
                     f"adapter for {wid} has shapes A{pair.a.data.shape} B{pair.b.data.shape}, "
                     f"target is {w.data.shape}"
@@ -319,10 +292,11 @@ def _transformer_forward(model: ModelSpec, ids: np.ndarray, eff) -> Tensor:
     return matmul(x, transpose(eff[WeightId(model.layers, Role.OUTPUT)]))
 
 
-def forward(model: ModelSpec, batch, adapters=None) -> Tensor:
-    """Logits for a batch. When adapters are present every targeted matrix
-    acts as W + A@B without mutating the stored weights."""
-    inputs = batch.inputs if isinstance(batch, Batch) else batch
+def forward(model: ModelSpec, data, adapters=None) -> Tensor:
+    """Logits for a dataset's inputs, or for bare inputs. When adapters are
+    present every targeted matrix acts as W + A@B without mutating the
+    stored weights."""
+    inputs = data.inputs if isinstance(data, Dataset) else data
     eff = _resolve_weights(model, adapters)
     if model.kind == "mlp":
         x = inputs if isinstance(inputs, Tensor) else Tensor(inputs)
@@ -353,11 +327,12 @@ def task_loss(model: ModelSpec, logits: Tensor, targets) -> Tensor:
     return cross_entropy_logits(_pool_last(logits), np.asarray(targets))
 
 
-def batch_loss(model: ModelSpec, batch: Batch, adapters=None, lam=0.0) -> Tensor:
-    """Training objective: mean task loss plus lam * sum of squared adapter
-    Frobenius norms over the active adapters only."""
-    logits = forward(model, batch, adapters=adapters)
-    loss = task_loss(model, logits, batch.targets)
+def batch_loss(model: ModelSpec, data: Dataset, adapters=None, lam=0.0) -> Tensor:
+    """Training objective on a minibatch or a whole dataset: mean task loss
+    plus lam * sum of squared adapter Frobenius norms over the active
+    adapters only."""
+    logits = forward(model, data, adapters=adapters)
+    loss = task_loss(model, logits, data.targets)
     if lam and adapters is not None:
         penalty = None
         for pair in adapters.pairs.values():
@@ -372,12 +347,12 @@ def loss_eval(model: ModelSpec, dataset: Dataset, adapters=None, lam=0.0) -> flo
     """Full-dataset objective value as a plain float."""
     if lam < 0:
         raise ValueError(f"regularization coefficient must be >= 0, got {lam}")
-    return batch_loss(model, dataset.full_batch(), adapters=adapters, lam=lam).item()
+    return batch_loss(model, dataset, adapters=adapters, lam=lam).item()
 
 
 def accuracy(model: ModelSpec, dataset: Dataset) -> float:
     """Classification accuracy (transformers only)."""
-    logits = forward(model, dataset.full_batch())
+    logits = forward(model, dataset)
     z = logits.data
     if z.ndim == 3:
         z = z[:, -1, :]

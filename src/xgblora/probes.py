@@ -314,41 +314,26 @@ def update_norm_probe(traces_with_eta) -> ProbeReport:
     return report
 
 
-@dataclass
-class LipschitzEstimate:
-    value: float
-    running_max: list[float]
-
-    def as_report(self) -> ProbeReport:
-        report = ProbeReport(probe="lipschitz")
-        point = GridPoint(params={"n_pairs": len(self.running_max)})
-        point.values = [self.value]
-        report.points.append(point)
-        report.constants.lipschitz = self.value
-        report.checks["positive"] = self.value > 0
-        return report
-
-
 def lipschitz_probe(
     grad_fn: Callable[[np.ndarray], np.ndarray],
     shape: tuple,
     n_pairs: int,
     radius: float,
     rng: Rng,
-) -> LipschitzEstimate:
+) -> ProbeReport:
     """max over sampled weight pairs of |grad(W1)-grad(W2)| / |W1-W2|,
     with W1 and W2 at `radius` times a random direction from zero.
 
     Perturbation directions alternate between full Gaussian and rank-one
     (the extremal direction of a quadratic is rank-one, so pure Gaussian
     sampling badly underestimates the constant). Coincident pairs are
-    skipped. The running max is non-decreasing in the number of pairs by
-    construction.
+    skipped. The report holds one point, with n_pairs, whose value is the
+    estimate; it is also the report's `lipschitz` constant, and the check
+    `positive` asks that it be above zero.
     """
     if radius <= 0:
         raise ValueError(f"radius must be > 0, got {radius}")
     best = 0.0
-    running = []
     for i in range(n_pairs):
         if i % 2 == 0:
             d1 = rng.gaussian(shape)
@@ -361,13 +346,14 @@ def lipschitz_probe(
         w2 = radius * d2
         dw = frobenius_norm(w1 - w2)
         if dw < 1e-12:
-            running.append(best)
             continue
         dg = frobenius_norm(grad_fn(w1) - grad_fn(w2))
-        ratio = dg / dw
-        best = max(best, ratio)
-        running.append(best)
-    return LipschitzEstimate(value=best, running_max=running)
+        best = max(best, dg / dw)
+    report = ProbeReport(probe="lipschitz")
+    report.points.append(GridPoint(params={"n_pairs": n_pairs}, values=[best]))
+    report.constants.lipschitz = best
+    report.checks["positive"] = best > 0
+    return report
 
 
 def model_grad_fn(model: ModelSpec, data: Dataset, wid: WeightId) -> Callable:
@@ -378,7 +364,7 @@ def model_grad_fn(model: ModelSpec, data: Dataset, wid: WeightId) -> Callable:
         model.weights[wid].data = np.asarray(w_value)
         model.weights[wid].requires_grad = True
         try:
-            loss = batch_loss(model, data.full_batch())
+            loss = batch_loss(model, data)
             loss.backward()
             return model.weights[wid].grad.copy()
         finally:

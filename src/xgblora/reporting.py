@@ -36,25 +36,13 @@ class ReportError(ValueError):
 FLOAT64_BYTES = 8
 
 
-def adapter_update_bytes(adapters) -> int:
-    """Live trainable bytes: adapter parameters plus their gradients,
-    computed analytically from shapes."""
-    if adapters is None:
-        return 0
-    n = sum(p.a.data.size + p.b.data.size for p in adapters.pairs.values())
-    return 2 * n * FLOAT64_BYTES
-
-
-def model_update_bytes(model) -> int:
-    n = sum(w.data.size for w in model.weights.values())
-    return 2 * n * FLOAT64_BYTES
-
-
 @dataclass
 class MetricsWriter:
-    """One CSV of metrics rows. A row's trainable_permille is its
-    update_bytes over those of all `total_params` weights, so it counts the
-    adapters live at that row. A resumed run gives its checkpoint's
+    """One CSV of metrics rows. A row is written with the count of
+    parameters trainable at that row (`lora.param_count`'s "trainable"):
+    its update_bytes are those parameters plus their gradients in float64,
+    and its trainable_permille is the count per thousand of all
+    `total_params` weights. A resumed run gives its checkpoint's
     `resume_step`: the rows already in the file up to that step are kept
     (rewritten with one write-then-rename, so rows a run wrote past its
     last checkpoint are dropped), new rows go after them, and wall_ms
@@ -78,7 +66,7 @@ class MetricsWriter:
         os.replace(tmp, self.path)
         self._fh = open(self.path, "a", encoding="utf-8", newline="")
 
-    def _write_row(self, t: int, step: int, loss: float, norms: tuple, update_bytes: int):
+    def _write_row(self, t: int, step: int, loss: float, norms: tuple, trainable: int):
         """One METRICS_HEADER row; `norms` holds the a_norm, b_norm and
         grad_norm cells."""
         row = [
@@ -89,19 +77,19 @@ class MetricsWriter:
             _fmt(loss),
             *norms,
             _fmt((time.monotonic() - self._start) * 1000.0),
-            str(update_bytes),
-            _fmt(1000.0 * update_bytes / (2 * FLOAT64_BYTES * self.total_params)),
+            str(2 * FLOAT64_BYTES * trainable),
+            _fmt(1000.0 * trainable / self.total_params),
         ]
         self._fh.write(",".join(row) + "\n")
 
-    def write_iteration(self, trace, step: int, update_bytes: int):
+    def write_iteration(self, trace, step: int, trainable: int):
         loss = trace.step_losses[-1] if trace.step_losses else float("nan")
         norms = (_fmt(trace.a_norm), _fmt(trace.b_norm), _fmt(trace.grad_max))
-        self._write_row(trace.t, step, loss, norms, update_bytes)
+        self._write_row(trace.t, step, loss, norms, trainable)
         self._fh.flush()
 
-    def write_step(self, t: int, step: int, loss: float, update_bytes: int):
-        self._write_row(t, step, loss, ("", "", ""), update_bytes)
+    def write_step(self, t: int, step: int, loss: float, trainable: int):
+        self._write_row(t, step, loss, ("", "", ""), trainable)
 
     def close(self):
         self._fh.close()

@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from xgblora.lowrank import lstsq
 from xgblora.models import Dataset, ModelSpec, build_mlp, forward
 from xgblora.tensor import Rng
 
@@ -141,9 +142,7 @@ def quadratic_optimum(dataset: Dataset) -> tuple[np.ndarray, float]:
     y = x @ W.T under mean-squared error over all elements."""
     x = np.asarray(dataset.inputs, dtype=np.float64)
     y = np.asarray(dataset.targets, dtype=np.float64)
-    gram = x.T @ x
-    gram = gram + 1e-12 * np.eye(gram.shape[0]) * max(np.trace(gram), 1.0)
-    w_opt_t = np.linalg.solve(gram, x.T @ y)  # (d_in, d_out)
+    w_opt_t = lstsq(x, y)  # (d_in, d_out)
     resid = x @ w_opt_t - y
     loss_star = float((resid * resid).mean())
     return w_opt_t.T, loss_star

@@ -132,7 +132,7 @@ class TestCriterion01GradientOracle:
         checked += 1
         # full transformer loss through every kernel at once
         model = build_transformer(vocab=5, d_model=8, n_layers=1, n_heads=2, d_ff=16, rng=Rng(5), max_seq=4)
-        batch = mz.Batch(np.array([[1, 2, 3, 4], [0, 4, 2, 1]]), np.array([1, 3]))
+        batch = mz.Dataset(np.array([[1, 2, 3, 4], [0, 4, 2, 1]]), np.array([1, 3]))
         for wtensor in model.weights.values():
             wtensor.requires_grad = True
         params = [model.weights[k] for k in sorted(model.weights, key=mz.sort_key)]
@@ -456,7 +456,7 @@ class TestCriterion13OperationalShell:
         csv_dir.mkdir()
         with MetricsWriter(str(csv_dir / "run.csv"), "demo", 3.5) as mw:
             for i, loss in enumerate([1.0, 0.5, 0.2], start=1):
-                mw.write_step(i, i * 4, loss, 128)
+                mw.write_step(i, i * 4, loss, 8)
         out1, out2 = tmp_path / "rep1", tmp_path / "rep2"
         emit_report(str(csv_dir), str(out1))
         emit_report(str(csv_dir), str(out2))

@@ -102,7 +102,7 @@ class TestSelectLayers:
     def test_sample_above_layers_raises(self):
         with pytest.raises(ConfigError):
             select_layers(Rng(0), 3, 8)
-        # the clamp now lives in the caller: boost_step passes min(sample_layers, layers)
+        # the clamp lives in the CLI: cli._schedule passes min(sample_layers, layers)
         assert select_layers(Rng(0), 3, min(8, 3)) == [1, 2, 3]
 
 
@@ -185,6 +185,13 @@ class TestXgbLoraFit:
         _, traces = xgblora_fit(model, data, cfg)
         assert sum(t.steps for t in traces) == cfg.total_steps
         assert len(traces) == 5
+
+    def test_sample_layers_deeper_than_the_model_rejected(self):
+        """A library run raises instead of recording a sample_layers that did not run."""
+        model, data = quadratic_setup(dims=(6, 6))
+        cfg = BoostConfig(iterations=2, steps_per_booster=2, sample_layers=8, eta=0.1)
+        with pytest.raises(ConfigError, match="sample_layers=8 exceeds the model's 1 layers"):
+            xgblora_fit(model, data, cfg)
 
     def test_merge_loss_continuity(self):
         model, data = quadratic_setup(seed=5)

@@ -56,10 +56,13 @@ class TestInit:
             assert np.sum(s > 1e-9 * max(s[0], 1e-30)) <= r
 
 
+WID = WeightId(1, Role.MLP_DENSE)
+
+
 def effective(model, pair):
-    """The effective weight W0 + A@B that models.forward builds for
-    `pair`'s target."""
-    return mz._resolve_weights(model, AdapterSet({pair.target: pair}))[pair.target]
+    """The effective weight W0 + A@B that models.forward builds for a
+    `pair` on the first dense matrix."""
+    return mz._resolve_weights(model, AdapterSet({WID: pair}))[WID]
 
 
 class TestEffectiveWeight:
@@ -72,24 +75,14 @@ class TestEffectiveWeight:
     def test_outer_product_case(self):
         m = build_mlp([2, 2], rng=Rng(1))
         m.weights[WeightId(1, Role.MLP_DENSE)].data = np.zeros((2, 2))
-        pair = LoraPair(
-            target=WeightId(1, Role.MLP_DENSE),
-            a=Tensor([[1.0], [2.0]]),
-            b=Tensor([[3.0, 4.0]]),
-            r=1,
-        )
+        pair = LoraPair(a=Tensor([[1.0], [2.0]]), b=Tensor([[3.0, 4.0]]), a_init=np.array([[1.0], [2.0]]))
         assert np.array_equal(effective(m, pair).data, [[3.0, 4.0], [6.0, 8.0]])
 
     def test_shape_mismatch(self):
         m = build_mlp([3, 3], rng=Rng(1))
         # an A of (1, 1) would broadcast onto the (3, 3) target without the check
         for a_shape in ((2, 1), (1, 1)):
-            pair = LoraPair(
-                target=WeightId(1, Role.MLP_DENSE),
-                a=Tensor(np.zeros(a_shape)),
-                b=Tensor(np.zeros((1, 3))),
-                r=1,
-            )
+            pair = LoraPair(a=Tensor(np.zeros(a_shape)), b=Tensor(np.zeros((1, 3))), a_init=np.zeros(a_shape))
             with pytest.raises(ShapeError):
                 effective(m, pair)
 

@@ -4,7 +4,7 @@ import pytest
 from xgblora import models as mz
 from xgblora import tensor as tt
 from xgblora.lora import init_adapter_set
-from xgblora.models import Batch, Dataset, Role, WeightId, build_mlp, build_transformer
+from xgblora.models import Dataset, Role, WeightId, build_mlp, build_transformer
 from xgblora.tensor import Rng, Tensor
 
 
@@ -196,7 +196,7 @@ class TestDataset:
     def test_batch_selection(self):
         ds = Dataset(np.arange(10).reshape(5, 2).astype(float), np.arange(5).astype(float))
         b = ds.batch([0, 3])
-        assert b.size == 2
+        assert b.n == 2
         assert np.array_equal(b.targets, [0.0, 3.0])
 
 

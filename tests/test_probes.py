@@ -107,28 +107,22 @@ class TestLipschitzProbe:
         def grad(w):
             return np.outer(w @ x - y, x)
 
-        est = lipschitz_probe(grad, (3, 4), n_pairs=4000, radius=1.0, rng=Rng(7))
+        report = lipschitz_probe(grad, (3, 4), n_pairs=4000, radius=1.0, rng=Rng(7))
         target = float(x @ x)
-        assert est.value <= target * (1 + 1e-9)
-        assert est.value >= 0.95 * target
-
-    def test_running_max_nondecreasing(self):
-        rng = Rng(5)
-        x = rng.gaussian((3,))
-
-        def grad(w):
-            return np.outer(w @ x, x)
-
-        est = lipschitz_probe(grad, (2, 3), n_pairs=300, radius=0.5, rng=Rng(8))
-        assert all(b >= a for a, b in zip(est.running_max, est.running_max[1:]))
+        est = report.constants.lipschitz
+        assert est <= target * (1 + 1e-9)
+        assert est >= 0.95 * target
+        assert report.point(n_pairs=4000).values == [est]
+        assert report.checks == {"positive": True}
 
     def test_coincident_pairs_skipped(self):
         def grad(w):
             return w
 
-        est = lipschitz_probe(grad, (2, 2), n_pairs=50, radius=1e-30, rng=Rng(1))
+        report = lipschitz_probe(grad, (2, 2), n_pairs=50, radius=1e-30, rng=Rng(1))
         # radius so small every pair is (numerically) coincident: no ratios
-        assert est.value == 0.0
+        assert report.constants.lipschitz == 0.0
+        assert report.checks == {"positive": False}
 
     def test_radius_must_be_positive(self):
         with pytest.raises(ValueError):

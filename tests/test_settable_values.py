@@ -6,7 +6,7 @@ that adds an option edits LIMIT and shows up in review."""
 import ast
 import pathlib
 
-LIMIT = 121
+LIMIT = 120
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "xgblora"
 
 
