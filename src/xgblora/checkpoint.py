@@ -140,6 +140,14 @@ def load_checkpoint(path) -> CheckpointState:
     weights, a, b, a_init = groups.values()
     if not a.keys() == b.keys() == a_init.keys():
         raise CheckpointError("the a/, b/ and a0/ entries name different weights")
+    for wid in a:  # A (d, r) and B (r, k) fit their (d, k) weight; A at birth has A's shape
+        w, pa, pb = weights.get(wid), a[wid], b[wid]
+        if w is None:
+            raise CheckpointError(f"a/{wid} adapts a weight with no w/{wid} entry")
+        if a_init[wid].shape != pa.shape:
+            raise CheckpointError(f"a0/{wid} has shape {a_init[wid].shape}, a/{wid} has {pa.shape}")
+        if pa.ndim != 2 or pb.ndim != 2 or pa.shape[1] != pb.shape[0] or (pa.shape[0], pb.shape[1]) != w.shape:
+            raise CheckpointError(f"a/{wid} {pa.shape} and b/{wid} {pb.shape} do not fit w/{wid} {w.shape}")
     model = ModelSpec(weights={wid: Tensor(w) for wid, w in weights.items()}, **meta["spec"])
     adapters = None
     if "booster_index" in meta:

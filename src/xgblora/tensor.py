@@ -76,9 +76,17 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def _accumulate(self, g):
+        """Add `g` into `.grad`. The first touch copies `g` into a fresh
+        array laid out like `.data` (`empty_like` keeps the parameter's
+        memory order), so `.grad` never aliases a view or another node's
+        gradient, and a weight used through `transpose(W)` gets a
+        C-contiguous gradient like W itself: the order BLAS sums in later
+        products of that gradient does not depend on how W was used."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, g)
+        else:
+            self.grad += g
 
     def zero_grad(self):
         self.grad = None
@@ -155,19 +163,39 @@ def _coerce(x):
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with batched leading dims; dA = dC·Bᵀ, dB = Aᵀ·dC."""
+    """Matrix product; dA = dC·Bᵀ, dB = Aᵀ·dC.
+
+    A 2-D `b` (every activation × weight product) takes one gemm over the
+    rows of `a` flattened to (-1, k), so the weight gradient is one
+    (k, n) product, not a per-row stack summed back down. Only a `b` with
+    leading dims (the attention's 4-D @ 4-D products) takes the batched
+    path. For a 2-D `a` both paths do the same arithmetic.
+    """
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul needs ndim >= 2 operands, got {a.shape} @ {b.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    out_data = a.data @ b.data
+    if b.data.ndim == 2:
+        n = b.data.shape[1]
+        a2 = a.data.reshape(-1, a.data.shape[-1])
+        out_data = (a2 @ b.data).reshape(a.data.shape[:-1] + (n,))
 
-    def _bw():
-        g = out.grad
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+        def _bw():
+            g2 = out.grad.reshape(-1, n)
+            if a.requires_grad:
+                a._accumulate((g2 @ b.data.T).reshape(a.data.shape))
+            if b.requires_grad:
+                b._accumulate(a2.T @ g2)
+
+    else:
+        out_data = a.data @ b.data
+
+        def _bw():
+            g = out.grad
+            if a.requires_grad:
+                a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+            if b.requires_grad:
+                b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     out = Tensor._from_op(out_data, (a, b), _bw)
     return out
@@ -254,13 +282,14 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(t: Tensor) -> Tensor:
     """Tanh-approximation gelu: 0.5·x·(1 + tanh(c·(x + 0.044715·x³)))."""
     x = t.data
-    inner = _GELU_C * (x + 0.044715 * x**3)
+    # products, not `**`: numpy's float64 power of 3 calls libm pow()
+    inner = _GELU_C * (x + 0.044715 * x * x * x)
     th = np.tanh(inner)
     out_data = 0.5 * x * (1.0 + th)
 
     def _bw():
-        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
-        dx = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * d_inner
+        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
+        dx = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * d_inner
         t._accumulate(out.grad * dx)
 
     out = Tensor._from_op(out_data, (t,), _bw)
@@ -338,7 +367,7 @@ def tsum(t: Tensor, axis=None) -> Tensor:
         g = out.grad
         if axis is not None:
             g = np.expand_dims(g, axis)
-        t._accumulate(np.broadcast_to(g, t.data.shape).copy())
+        t._accumulate(np.broadcast_to(g, t.data.shape))
 
     out = Tensor._from_op(out_data, (t,), _bw)
     return out

@@ -109,6 +109,31 @@ class TestCheckpoint:
             assert np.array_equal(got.a_init, pair.a_init)
             assert got.a.data.shape[1] == pair.a.data.shape[1] == 2
 
+    @pytest.mark.parametrize("entry, field, shape", [
+        ("a0/", "a_init", (7, 1)),  # A at birth narrower than A (7, 2)
+        ("b/", "b", (2, 4)),  # B one column short of its (7, 5) weight
+        ("b/", "b", (3, 5)),  # B's rank is not A's
+        ("w/", "w", None),  # no weight under the pair
+    ])
+    def test_adapter_shapes_checked(self, tmp_path, entry, field, shape):
+        """An adapter pair whose A at birth is not A's shape, whose A and B
+        do not fit their weight, or that has no weight names the entry
+        instead of loading."""
+        model = small_model()
+        adapters = init_adapter_set(model, mz.list_adaptable_weights(model), r=2, rng=Rng(7))
+        wid = adapters.targets()[0]
+        pair = adapters.pairs[wid]
+        if field == "a_init":
+            pair.a_init = np.zeros(shape)
+        elif field == "b":
+            pair.b.data = np.zeros(shape)
+        else:
+            del model.weights[wid]
+        path = tmp_path / "s.xgbl"
+        save_checkpoint(path, CheckpointState(model, step=0, booster=1, rng_state=0, adapters=adapters))
+        with pytest.raises(CheckpointError, match=f"{entry}{wid}"):
+            load_checkpoint(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.xgbl"
         path.write_bytes(b"NOPE" + b"\x00" * 64)

@@ -69,6 +69,40 @@ class TestMatmul:
         b = Tensor(rng.gaussian((4, 5)), requires_grad=True)
         check_grad(lambda: tt.tsum(tt.mul(a @ b, a @ b)), [a, b])
 
+    @pytest.mark.parametrize("lead", [(2, 3), (2, 3, 4)])
+    def test_activation_times_weight_is_per_slice(self, lead):
+        """A 3-D or 4-D activation times a 2-D weight: forward and both
+        gradients equal the product of each (rows, k) slice with the weight."""
+        rng = Rng(11)
+        a = Tensor(rng.gaussian(lead + (5,)), requires_grad=True)
+        w = Tensor(rng.gaussian((5, 6)), requires_grad=True)
+        c = rng.gaussian(lead + (6,))
+        out = a @ w
+        tt.tsum(tt.mul(out, Tensor(c))).backward()
+        ref = np.empty(c.shape)
+        ref_da = np.empty(a.shape)
+        ref_dw = np.zeros(w.shape)
+        for i in np.ndindex(*lead[:-1]):
+            ref[i] = a.data[i] @ w.data
+            ref_da[i] = c[i] @ w.data.T
+            ref_dw += a.data[i].T @ c[i]
+        for got, want in ((out.data, ref), (a.grad, ref_da), (w.grad, ref_dw)):
+            assert got.shape == want.shape
+            assert rel_err(got, want) < 1e-12
+        a.zero_grad()
+        w.zero_grad()
+        check_grad(lambda: tt.tsum(tt.mul(a @ w, Tensor(c))), [a, w])
+
+    @pytest.mark.parametrize("rows", [(4,), (2, 4)])
+    def test_weight_grad_through_transpose_keeps_layout(self, rows):
+        """A weight used as transpose(W) gets a gradient laid out like W."""
+        rng = Rng(12)
+        x = Tensor(rng.gaussian(rows + (3,)))
+        w = Tensor(rng.gaussian((5, 3)), requires_grad=True)
+        tt.tsum(tt.mul(x @ tt.transpose(w), x @ tt.transpose(w))).backward()
+        assert w.grad.shape == w.data.shape
+        assert w.grad.flags.c_contiguous
+
 
 class TestBackward:
     def test_quadratic_grad_is_identity(self):
@@ -94,6 +128,27 @@ class TestBackward:
         loss = tt.tsum(y)
         loss.backward()
         assert np.allclose(x.grad, [2.0])
+
+    def test_grad_never_aliases(self):
+        """The first gradient a node receives is copied: a leaf's .grad shares
+        no memory with a broadcast view (tsum), a reshaped view (reshape)
+        or the gradient an op passes through unchanged (add)."""
+        x = Tensor(Rng(5).gaussian((3, 4)), requires_grad=True)
+        r = tt.reshape(x, (4, 3))
+        s = tt.add(r, 1.0)
+        loss = tt.tsum(s)
+        loss.backward()
+        for node in (loss, s, r):
+            assert not np.shares_memory(x.grad, node.grad)
+        assert not np.shares_memory(r.grad, s.grad)
+        assert np.array_equal(x.grad, np.ones((3, 4)))
+        g = np.arange(12.0).reshape(3, 4)
+        y = Tensor(np.zeros((3, 4)), requires_grad=True)
+        y._accumulate(g)
+        assert not np.shares_memory(y.grad, g)
+        y._accumulate(g)
+        assert np.array_equal(y.grad, 2 * g)
+        assert np.array_equal(g, np.arange(12.0).reshape(3, 4))
 
 
 class TestKernelGradients:
@@ -128,6 +183,14 @@ class TestKernelGradients:
     def test_gelu(self):
         a = self._t((4, 3))
         check_grad(lambda: tt.tsum(tt.mul(tt.gelu(a), a)), [a])
+
+    def test_gelu_matches_the_cube_formula(self):
+        """gelu computes x³ as x·x·x: over [-8, 8] it stays within 4 eps
+        of the `x**3` formula. Absolute, not in ulps: in the negative tail
+        gelu cancels towards 0, where ulps are tiny."""
+        x = np.linspace(-8.0, 8.0, 200_001)
+        ref = 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3)))
+        assert np.abs(tt.gelu(Tensor(x)).data - ref).max() <= 4 * np.finfo(np.float64).eps
 
     def test_softmax(self):
         a = self._t((3, 6))
