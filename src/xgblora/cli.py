@@ -17,6 +17,7 @@ import contextlib
 import os
 import sys
 from dataclasses import fields
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -254,10 +255,9 @@ def _probe_report(which: str, args):
     elif which == "lemma3":
         data, task = gen_teacher_dataset("teacher-matrix", [6, 4], n=64, seed=args.seed)
         model = task.make_student()
-        wid = probes.list_adaptable_weights(model)[0]
-        grad_fn = probes.model_grad_fn(model, data, wid)
+        shape = model.weights[probes.list_adaptable_weights(model)[0]].shape
         report = probes.lipschitz_probe(
-            grad_fn, model.weights[wid].shape, n_pairs=2000, radius=1.0, rng=Rng(args.seed)
+            partial(probes.quadratic_gradient, data), shape, n_pairs=2000, radius=1.0, rng=Rng(args.seed)
         )
         beta, mu = probes.quadratic_curvature(data)
         report.constants.beta = beta

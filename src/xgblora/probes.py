@@ -24,7 +24,6 @@ from xgblora.models import (
     ModelSpec,
     WeightId,
     accuracy,
-    batch_loss,
     list_adaptable_weights,
     loss_eval,
 )
@@ -42,6 +41,7 @@ __all__ = [
     "convergence_sweep",
     "expressiveness_sweep",
     "quadratic_curvature",
+    "quadratic_gradient",
     "pooled_std",
     "run_booster_corpus",
 ]
@@ -174,6 +174,24 @@ def quadratic_curvature(data: Dataset) -> tuple[float, float]:
     return float(scale * eigs[-1]), float(scale * max(eigs[0], 0.0))
 
 
+def quadratic_gradient(data: Dataset, ws: np.ndarray) -> np.ndarray:
+    """Full-batch gradient of the single-matrix MSE student, the mean over
+    all N*k entries of (x @ W.T - y)^2, at every W of a (P, k, d) stack.
+
+    The arithmetic and its order are the tape's: for each W the result
+    equals `batch_loss(...).backward()`'s `.grad` bit for bit. It is
+    C-contiguous like that `.grad`, since a norm of a transposed view sums
+    in another order."""
+    x = np.asarray(data.inputs, dtype=np.float64)
+    y = np.asarray(data.targets, dtype=np.float64)
+    # mse's backward, seed 1.0 * (2.0 / n) * diff, computed in place so that
+    # a stack of P weights holds one (P, N, k) buffer, not three
+    g2 = x @ np.swapaxes(ws, -1, -2)
+    g2 -= y
+    g2 *= 1.0 * (2.0 / y.size)
+    return np.ascontiguousarray(np.swapaxes(x.T @ g2, -1, -2))
+
+
 def _single_matrix_wid(model: ModelSpec) -> WeightId:
     wids = list_adaptable_weights(model)
     if model.kind != "mlp" or model.layers != 1:
@@ -220,7 +238,8 @@ def gradient_approx_probe(
                 train_booster(model, adapters, data, cfg, rng)
                 pair = adapters.pairs[wid]
                 a = pair.a.data
-                g_full = model_grad_fn(model, data, wid)(model.weights[wid].data + a @ pair.b.data)
+                w = model.weights[wid].data + a @ pair.b.data
+                g_full = quadratic_gradient(data, w[None])[0]
                 g_hat = -(a @ np.linalg.solve(a.T @ a, pair.b.data)) / (eta * m)
                 err = frobenius_norm(g_full - g_hat)
                 floor = float(np.sqrt(svd_topr(g_full, min(r, min(g_full.shape))).tail_sq))
@@ -327,52 +346,45 @@ def lipschitz_probe(
     Perturbation directions alternate between full Gaussian and rank-one
     (the extremal direction of a quadratic is rank-one, so pure Gaussian
     sampling badly underestimates the constant). Coincident pairs are
-    skipped. The report holds one point, with n_pairs, whose value is the
-    estimate; it is also the report's `lipschitz` constant, and the check
-    `positive` asks that it be above zero.
+    skipped. `grad_fn` maps a (P, *shape) stack of weights to the stack of
+    their gradients; it is called once, on all 2 * n_pairs points. The
+    directions are drawn in bulk, the same numbers in the same order as a
+    pair-by-pair draw. The report holds one point, with n_pairs, whose
+    value is the estimate; it is also the report's `lipschitz` constant,
+    and the check `positive` asks that it be above zero.
     """
+    if np.ndim(shape) != 1 or len(shape) != 2:
+        raise ValueError(f"shape must be 2-D (rows, cols), got {shape}")
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     if radius <= 0:
         raise ValueError(f"radius must be > 0, got {radius}")
+    rows, cols = shape
+    # pair 2j: two full Gaussian directions; pair 2j + 1: two rank-one ones
+    round_shapes = [shape, shape, (rows,), (cols,), (rows,), (cols,)]
+    full1, full2, u1, v1, u2, v2 = rng.gaussian_rounds(round_shapes, n_pairs // 2)
+    if n_pairs % 2:
+        last1, last2 = rng.gaussian_rounds([shape, shape], 1)
+        full1, full2 = np.concatenate([full1, last1]), np.concatenate([full2, last2])
+    dirs = np.empty((2, n_pairs, rows, cols))
+    dirs[0, 0::2], dirs[1, 0::2] = full1, full2
+    dirs[0, 1::2] = u1[:, :, None] * v1[:, None, :]  # np.outer, row by row
+    dirs[1, 1::2] = u2[:, :, None] * v2[:, None, :]
+    ws = radius * dirs
+    w1, w2 = ws
+    g1, g2 = grad_fn(ws.reshape(2 * n_pairs, rows, cols)).reshape(2, n_pairs, rows, cols)
     best = 0.0
     for i in range(n_pairs):
-        if i % 2 == 0:
-            d1 = rng.gaussian(shape)
-            d2 = rng.gaussian(shape)
-        else:
-            u1, v1 = rng.gaussian((shape[0],)), rng.gaussian((shape[1],))
-            u2, v2 = rng.gaussian((shape[0],)), rng.gaussian((shape[1],))
-            d1, d2 = np.outer(u1, v1), np.outer(u2, v2)
-        w1 = radius * d1
-        w2 = radius * d2
-        dw = frobenius_norm(w1 - w2)
+        dw = frobenius_norm(w1[i] - w2[i])
         if dw < 1e-12:
             continue
-        dg = frobenius_norm(grad_fn(w1) - grad_fn(w2))
+        dg = frobenius_norm(g1[i] - g2[i])
         best = max(best, dg / dw)
     report = ProbeReport(probe="lipschitz")
     report.points.append(GridPoint(params={"n_pairs": n_pairs}, values=[best]))
     report.constants.lipschitz = best
     report.checks["positive"] = best > 0
     return report
-
-
-def model_grad_fn(model: ModelSpec, data: Dataset, wid: WeightId) -> Callable:
-    """Full-batch task-loss gradient with respect to one weight matrix."""
-
-    def grad_at(w_value: np.ndarray) -> np.ndarray:
-        saved = model.weights[wid].data
-        model.weights[wid].data = np.asarray(w_value)
-        model.weights[wid].requires_grad = True
-        try:
-            loss = batch_loss(model, data)
-            loss.backward()
-            return model.weights[wid].grad.copy()
-        finally:
-            model.weights[wid].requires_grad = False
-            model.weights[wid].grad = None
-            model.weights[wid].data = saved
-
-    return grad_at
 
 
 def convergence_sweep(

@@ -17,8 +17,13 @@ import numpy as np
 
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
+# the generator's uint64 constants, built once: a numpy scalar costs about
+# as much to make as a small draw costs to compute
+_GAMMA64 = np.uint64(_GAMMA)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_S11, _S27, _S30, _S31, _S32 = (np.uint64(s) for s in (11, 27, 30, 31, 32))
 
 
 class ShapeError(ValueError):
@@ -466,9 +471,24 @@ def finite_diff_gradient(f, theta: Tensor, eps: float = 1e-5) -> np.ndarray:
 
 def _mix(z):
     """Finalizer of the splitmix step, vectorized over uint64 arrays."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    z = (z ^ (z >> _S30)) * _MIX1
+    z = (z ^ (z >> _S27)) * _MIX2
+    return z ^ (z >> _S31)
+
+
+def _box_muller(raw, n: int) -> np.ndarray:
+    """The first n standard normals from 2m raw draws along the last axis:
+    the first m draws give the radii, the last m the angles, and each
+    (radius, angle) pair gives a cos and a sin sample, in that order."""
+    m = raw.shape[-1] // 2
+    u1 = ((raw[..., :m] >> _S11).astype(np.float64) + 1.0) * 2.0**-53  # (0, 1]
+    u2 = (raw[..., m:] >> _S11).astype(np.float64) * 2.0**-53  # [0, 1)
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * math.pi * u2
+    z = np.empty(raw.shape, dtype=np.float64)
+    z[..., 0::2] = r * np.cos(theta)
+    z[..., 1::2] = r * np.sin(theta)
+    return z[..., :n]
 
 
 class Rng:
@@ -480,21 +500,20 @@ class Rng:
         self.state = int(seed) & MASK64
 
     def _raw(self, n: int) -> np.ndarray:
-        """Next n raw 64-bit outputs; advances state by n increments."""
-        with np.errstate(over="ignore"):
-            idx = np.arange(1, n + 1, dtype=np.uint64)
-            z = np.uint64(self.state) + idx * np.uint64(_GAMMA)
-            out = _mix(z)
+        """Next n raw 64-bit outputs; advances state by n increments.
+
+        uint64 array arithmetic wraps silently; only numpy scalar
+        arithmetic checks for overflow, and none is done here."""
+        z = np.uint64(self.state) + np.arange(1, n + 1, dtype=np.uint64) * _GAMMA64
         self.state = (self.state + n * _GAMMA) & MASK64
-        return out
+        return _mix(z)
 
     def next_u64(self) -> int:
         return int(self._raw(1)[0])
 
     def uniform(self, shape) -> np.ndarray:
         """iid uniforms in [0, 1) with 53-bit resolution."""
-        n = int(np.prod(shape))
-        u = (self._raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        u = (self._raw(math.prod(shape)) >> _S11).astype(np.float64) * 2.0**-53
         return u.reshape(shape)
 
     def gaussian(self, shape) -> np.ndarray:
@@ -502,17 +521,25 @@ class Rng:
 
         Consumes 2·ceil(n/2) raw draws for n samples.
         """
-        n = int(np.prod(shape))
-        m = (n + 1) // 2
-        raw = self._raw(2 * m)
-        u1 = ((raw[:m] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53  # (0, 1]
-        u2 = (raw[m:] >> np.uint64(11)).astype(np.float64) * 2.0**-53  # [0, 1)
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * math.pi * u2
-        z = np.empty(2 * m, dtype=np.float64)
-        z[0::2] = r * np.cos(theta)
-        z[1::2] = r * np.sin(theta)
-        return z[:n].reshape(shape)
+        n = math.prod(shape)
+        return _box_muller(self._raw(2 * ((n + 1) // 2)), n).reshape(shape)
+
+    def gaussian_rounds(self, shapes, count: int) -> list[np.ndarray]:
+        """`count` rounds of one `gaussian(s)` call per shape s of `shapes`,
+        in that order, from one raw draw.
+
+        Returns one (count, *s) array per shape whose row j is, bit for bit,
+        what `gaussian(s)` returns in round j; the final state is that of
+        the per-call draws.
+        """
+        sizes = [math.prod(s) for s in shapes]
+        spans = [2 * ((n + 1) // 2) for n in sizes]
+        raw = self._raw(count * sum(spans)).reshape(count, sum(spans))
+        out, start = [], 0
+        for shape, n, span in zip(shapes, sizes, spans):
+            out.append(_box_muller(raw[:, start:start + span], n).reshape((count, *shape)))
+            start += span
+        return out
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n) via multiply-shift."""
@@ -534,5 +561,5 @@ class Rng:
             raise ValueError(f"randint_array needs n < 2**32, got {n}")
         u = self._raw(size)
         n64 = np.uint64(n)
-        low = ((u & np.uint64(0xFFFFFFFF)) * n64) >> np.uint64(32)
-        return (((u >> np.uint64(32)) * n64 + low) >> np.uint64(32)).astype(np.int64)
+        low = ((u & _LOW32) * n64) >> _S32
+        return (((u >> _S32) * n64 + low) >> _S32).astype(np.int64)

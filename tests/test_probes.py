@@ -1,6 +1,9 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
+from xgblora import models as mz
 from xgblora import probes
 from xgblora.models import Role, WeightId
 from xgblora.probes import (
@@ -10,14 +13,14 @@ from xgblora.probes import (
     expressiveness_sweep,
     gradient_approx_probe,
     lipschitz_probe,
-    model_grad_fn,
     pooled_std,
     quadratic_curvature,
+    quadratic_gradient,
     run_booster_corpus,
     update_norm_probe,
 )
 from xgblora.tasks import gen_teacher_dataset
-from xgblora.tensor import Rng
+from xgblora.tensor import Rng, frobenius_norm
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +100,40 @@ class TestUpdateNormProbe:
         assert rep.constants.g_max > 0
 
 
+def _tape_gradient(model, data, wid, w_value):
+    """The task-loss gradient at one weight value, through the tape."""
+    model.weights[wid].data = np.asarray(w_value)
+    model.weights[wid].requires_grad = True
+    mz.batch_loss(model, data).backward()
+    grad = model.weights[wid].grad
+    model.weights[wid].requires_grad = False
+    model.weights[wid].grad = None
+    return grad
+
+
+def _per_pair_lipschitz(grad_fn, shape, n_pairs, radius, rng):
+    """The pair-by-pair estimate: one draw per direction, one gradient per
+    weight; `lipschitz_probe` must give the same number from its bulk draw
+    and stacked gradients."""
+    best = 0.0
+    for i in range(n_pairs):
+        if i % 2 == 0:
+            d1 = rng.gaussian(shape)
+            d2 = rng.gaussian(shape)
+        else:
+            u1, v1 = rng.gaussian((shape[0],)), rng.gaussian((shape[1],))
+            u2, v2 = rng.gaussian((shape[0],)), rng.gaussian((shape[1],))
+            d1, d2 = np.outer(u1, v1), np.outer(u2, v2)
+        w1 = radius * d1
+        w2 = radius * d2
+        dw = frobenius_norm(w1 - w2)
+        if dw < 1e-12:
+            continue
+        dg = frobenius_norm(grad_fn(w1) - grad_fn(w2))
+        best = max(best, dg / dw)
+    return best
+
+
 class TestLipschitzProbe:
     def test_quadratic_closed_form(self):
         """grad of 0.5*|Wx - y|^2 has Lipschitz constant |x|^2."""
@@ -104,8 +141,8 @@ class TestLipschitzProbe:
         x = rng.gaussian((4,))
         y = rng.gaussian((3,))
 
-        def grad(w):
-            return np.outer(w @ x - y, x)
+        def grad(ws):
+            return (ws @ x - y)[:, :, None] * x
 
         report = lipschitz_probe(grad, (3, 4), n_pairs=4000, radius=1.0, rng=Rng(7))
         target = float(x @ x)
@@ -116,8 +153,8 @@ class TestLipschitzProbe:
         assert report.checks == {"positive": True}
 
     def test_coincident_pairs_skipped(self):
-        def grad(w):
-            return w
+        def grad(ws):
+            return ws
 
         report = lipschitz_probe(grad, (2, 2), n_pairs=50, radius=1e-30, rng=Rng(1))
         # radius so small every pair is (numerically) coincident: no ratios
@@ -126,18 +163,53 @@ class TestLipschitzProbe:
 
     def test_radius_must_be_positive(self):
         with pytest.raises(ValueError):
-            lipschitz_probe(lambda w: w, (2, 2), n_pairs=5, radius=0.0, rng=Rng(1))
+            lipschitz_probe(lambda ws: ws, (2, 2), n_pairs=5, radius=0.0, rng=Rng(1))
 
-    def test_model_grad_fn_restores_weights(self):
-        data, task = gen_teacher_dataset("teacher-matrix", [4, 4], n=32, seed=3)
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 4), 6])
+    def test_shape_must_be_2d(self, shape):
+        with pytest.raises(ValueError, match="^shape must be 2-D"):
+            lipschitz_probe(lambda ws: ws, shape, n_pairs=5, radius=1.0, rng=Rng(1))
+
+    @pytest.mark.parametrize("n_pairs", [0, -3])
+    def test_n_pairs_must_be_positive(self, n_pairs):
+        with pytest.raises(ValueError, match=f"^n_pairs must be >= 1, got {n_pairs}$"):
+            lipschitz_probe(lambda ws: ws, (2, 2), n_pairs=n_pairs, radius=1.0, rng=Rng(1))
+
+    @pytest.mark.parametrize("n_pairs", [200, 201])
+    def test_equals_per_pair_tape_reference(self, n_pairs):
+        """Bulk draws and one stacked gradient give the pair-by-pair tape
+        estimate bit for bit, for an even and an odd pair count, and leave
+        the generator where the per-pair draws leave it."""
+        data, task = gen_teacher_dataset("teacher-matrix", [6, 4], n=64, seed=0)
         model = task.make_student()
         wid = WeightId(1, Role.MLP_DENSE)
-        before = model.weights[wid].data.copy()
-        fn = model_grad_fn(model, data, wid)
-        g = fn(before + 0.5)
-        assert g.shape == before.shape
-        assert np.array_equal(model.weights[wid].data, before)
-        assert not model.weights[wid].requires_grad
+        shape = model.weights[wid].shape
+        bulk, ref = Rng(5), Rng(5)
+        report = lipschitz_probe(partial(quadratic_gradient, data), shape, n_pairs, 1.0, bulk)
+        expected = _per_pair_lipschitz(
+            partial(_tape_gradient, model, data, wid), shape, n_pairs, 1.0, ref
+        )
+        assert report.constants.lipschitz == expected > 0
+        assert bulk.state == ref.state
+
+
+class TestQuadraticGradient:
+    @pytest.mark.parametrize("dims,n", [([6, 4], 64), ([16, 16], 256), ([12, 12], 96)])
+    def test_equals_tape_gradient_bit_for_bit(self, dims, n):
+        data, task = gen_teacher_dataset("teacher-matrix", dims, n=n, seed=4)
+        model = task.make_student()
+        wid = WeightId(1, Role.MLP_DENSE)
+        k, d = model.weights[wid].shape
+        rng = Rng(11)
+        ws = np.concatenate([rng.gaussian((6, k, d)), rng.gaussian((k, 1)) * rng.gaussian((3, 1, d))])
+        stacked = quadratic_gradient(data, ws)
+        assert stacked.shape == ws.shape and stacked.flags.c_contiguous
+        for w, g in zip(ws, stacked):
+            single = quadratic_gradient(data, w[None])
+            assert single.flags.c_contiguous
+            tape = _tape_gradient(model, data, wid, w)
+            assert np.array_equal(g, tape)
+            assert np.array_equal(single[0], tape)
 
 
 class TestQuadraticCurvature:

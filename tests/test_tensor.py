@@ -376,6 +376,18 @@ class TestRng:
             assert got.tolist() == [scalar.randint(n) for _ in range(size)]
             assert batched.state == scalar.state
 
+    @pytest.mark.parametrize("count", [0, 1, 7])
+    def test_gaussian_rounds_are_the_per_call_draws(self, count):
+        shapes = [(1,), (5,), (4, 6), (3, 3), (2,)]  # sizes 1, odd and even
+        for seed in (0, 3, (1 << 64) - 1):
+            bulk, calls = Rng(seed), Rng(seed)
+            rounds = bulk.gaussian_rounds(shapes, count)
+            assert [r.shape for r in rounds] == [(count, *s) for s in shapes]
+            for j in range(count):
+                for r, s in zip(rounds, shapes):
+                    assert r[j].tobytes() == calls.gaussian(s).tobytes()
+            assert bulk.state == calls.state
+
     def test_randint_array_bounds_on_n(self):
         for n in (0, 1 << 32):
             with pytest.raises(ValueError, match=f"got {n}$"):
