@@ -190,6 +190,11 @@ def train_booster(
     continues from trace.steps (at most max_steps more). Records per-step
     batch losses and per-pair gradient statistics; final norms are stamped
     when the booster completes.
+
+    The minibatch indices of all the steps this call takes come from one
+    draw, row j for step j: the same stream, and the same final generator
+    state, as one draw per step. So after a divergence the generator has
+    moved past the failed step, to the end of this call's draw.
     """
     adapters.check_live()
     if trace is None:
@@ -199,9 +204,9 @@ def train_booster(
     kappa = cfg.steps_per_booster
     todo = kappa - trace.steps
     if max_steps is not None:
-        todo = min(todo, max_steps)
-    for _ in range(todo):
-        idx = rng.randint_array(data.n, cfg.batch_size)
+        todo = max(0, min(todo, max_steps))
+    draws = rng.randint_array(data.n, todo * cfg.batch_size).reshape(todo, cfg.batch_size)
+    for idx in draws:
         batch = data.batch(idx)
         loss = batch_loss(model, batch, adapters=adapters, lam=cfg.lam)
         loss.backward()

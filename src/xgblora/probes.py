@@ -17,6 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from xgblora.boosting import BoostConfig, BoosterTrace, train_booster, xgblora_fit
+from xgblora.grid import run_grid
 from xgblora.lora import init_adapter_set
 from xgblora.lowrank import nnls, r_squared, svd_topr
 from xgblora.models import (
@@ -218,34 +219,39 @@ def gradient_approx_probe(
     error is the Frobenius distance to the full-batch gradient at the
     updated point; the truncation floor at the same rank is recorded for
     every replicate and can never exceed it (the estimate has rank <= r).
+    Each (r, M, seed) fit is one job of `run_grid`.
     """
     eta = 1e-3
-    report = ProbeReport(probe="gradient_approx")
     wid = _single_matrix_wid(task.start)
-    for r in r_grid:
-        for m in m_grid:
-            point = GridPoint(params={"r": int(r), "m": int(m)})
-            point.extras["floor"] = []
-            cfg = BoostConfig(iterations=1, steps_per_booster=m, rank=r, sample_layers=1, eta=eta,
-                              batch_size=8)
-            for i, seed in enumerate(seeds):
-                model = task.make_student()
-                # common random numbers across the M grid: the same seed
-                # index draws the same adapter init, so the M comparison
-                # isolates minibatch averaging from subspace luck
-                rng = Rng(seed * 1_000_003 + 7919 * r)
-                adapters = init_adapter_set(model, [wid], r, rng, booster_index=1)
-                train_booster(model, adapters, data, cfg, rng)
-                pair = adapters.pairs[wid]
-                a = pair.a.data
-                w = model.weights[wid].data + a @ pair.b.data
-                g_full = quadratic_gradient(data, w[None])[0]
-                g_hat = -(a @ np.linalg.solve(a.T @ a, pair.b.data)) / (eta * m)
-                err = frobenius_norm(g_full - g_hat)
-                floor = float(np.sqrt(svd_topr(g_full, min(r, min(g_full.shape))).tail_sq))
-                point.values.append(err)
-                point.extras["floor"].append(floor)
-            report.points.append(point)
+
+    def fit(job):
+        r, m, seed = job
+        model = task.make_student()
+        # common random numbers across the M grid: the same seed index
+        # draws the same adapter init, so the M comparison isolates
+        # minibatch averaging from subspace luck
+        rng = Rng(seed * 1_000_003 + 7919 * r)
+        adapters = init_adapter_set(model, [wid], r, rng, booster_index=1)
+        cfg = BoostConfig(iterations=1, steps_per_booster=m, rank=r, sample_layers=1, eta=eta, batch_size=8)
+        train_booster(model, adapters, data, cfg, rng)
+        pair = adapters.pairs[wid]
+        a = pair.a.data
+        w = model.weights[wid].data + a @ pair.b.data
+        g_full = quadratic_gradient(data, w[None])[0]
+        g_hat = -(a @ np.linalg.solve(a.T @ a, pair.b.data)) / (eta * m)
+        floor = float(np.sqrt(svd_topr(g_full, min(r, min(g_full.shape))).tail_sq))
+        return frobenius_norm(g_full - g_hat), floor
+
+    params = [(r, m) for r in r_grid for m in m_grid]
+    fits = iter(run_grid(fit, [(r, m, seed) for r, m in params for seed in seeds]))
+    report = ProbeReport(probe="gradient_approx")
+    for r, m in params:
+        point = GridPoint(params={"r": int(r), "m": int(m)}, extras={"floor": []})
+        for _ in seeds:
+            err, floor = next(fits)
+            point.values.append(err)
+            point.extras["floor"].append(floor)
+        report.points.append(point)
 
     floor_ok = all(
         v >= f - 1e-9 * max(v, 1.0)
@@ -281,24 +287,24 @@ def run_booster_corpus(
 ) -> list[tuple[BoosterTrace, float]]:
     """A spread of boosters across rank/steps configs on a 12x12 quadratic
     teacher with 96 examples; returns (trace, eta) pairs for the
-    update-norm probe."""
-    out = []
-    for r in r_values:
-        for kappa in kappa_values:
-            data, task = gen_teacher_dataset("teacher-matrix", [12, 12], n=96, seed=seed + 17 * r + kappa)
-            model = task.make_student()
-            cfg = BoostConfig(
-                iterations=boosters_per_config,
-                steps_per_booster=kappa,
-                rank=r,
-                sample_layers=1,
-                eta=eta,
-                batch_size=16,
-                seed=seed + r * 1009 + kappa,
-            )
-            _, traces = xgblora_fit(model, data, cfg)
-            out.extend((t, eta) for t in traces)
-    return out
+    update-norm probe. Each (r, kappa) config is one job of `run_grid`."""
+
+    def fit(job):
+        r, kappa = job
+        data, task = gen_teacher_dataset("teacher-matrix", [12, 12], n=96, seed=seed + 17 * r + kappa)
+        cfg = BoostConfig(
+            iterations=boosters_per_config,
+            steps_per_booster=kappa,
+            rank=r,
+            sample_layers=1,
+            eta=eta,
+            batch_size=16,
+            seed=seed + r * 1009 + kappa,
+        )
+        return xgblora_fit(task.make_student(), data, cfg)[1]
+
+    configs = [(r, kappa) for r in r_values for kappa in kappa_values]
+    return [(t, eta) for traces in run_grid(fit, configs) for t in traces]
 
 
 def update_norm_probe(traces_with_eta) -> ProbeReport:
@@ -357,8 +363,8 @@ def lipschitz_probe(
         raise ValueError(f"shape must be 2-D (rows, cols), got {shape}")
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
-    if radius <= 0:
-        raise ValueError(f"radius must be > 0, got {radius}")
+    if not 0 < radius < np.inf:
+        raise ValueError(f"radius must be finite and > 0, got {radius}")
     rows, cols = shape
     # pair 2j: two full Gaussian directions; pair 2j + 1: two rank-one ones
     round_shapes = [shape, shape, (rows,), (cols,), (rows,), (cols,)]
@@ -405,29 +411,31 @@ def convergence_sweep(
     rank in the grid the 1/r feature plays the constant rank-floor term.
     Check set: gap non-increasing in T per rank, non-increasing in r per T
     (seed means), both with zero slack; the fit quality is reported, never
-    asserted here.
+    asserted here. Each (r, T, seed) fit is one job of `run_grid`.
     """
     _single_matrix_wid(task.start)  # reject non-quadratic tasks
     _, loss_star = quadratic_optimum(data)
+
+    def fit(job):
+        r, t, seed = job
+        model = task.make_student()
+        cfg = BoostConfig(
+            iterations=int(t),
+            steps_per_booster=kappa,
+            rank=int(r),
+            sample_layers=1,
+            eta=eta,
+            batch_size=batch_size,
+            seed=seed * 7919 + t * 131 + r,
+        )
+        xgblora_fit(model, data, cfg)
+        return loss_eval(model, data) - loss_star
+
+    params = [(r, t) for r in r_grid for t in t_grid]
+    gaps = iter(run_grid(fit, [(r, t, seed) for r, t in params for seed in seeds]))
     report = ProbeReport(probe="convergence")
-    for r in r_grid:
-        for t in t_grid:
-            point = GridPoint(params={"r": int(r), "t": int(t)})
-            for seed in seeds:
-                model = task.make_student()
-                cfg = BoostConfig(
-                    iterations=int(t),
-                    steps_per_booster=kappa,
-                    rank=int(r),
-                    sample_layers=1,
-                    eta=eta,
-                    batch_size=batch_size,
-                    seed=seed * 7919 + t * 131 + r,
-                )
-                xgblora_fit(model, data, cfg)
-                gap = loss_eval(model, data) - loss_star
-                point.values.append(gap)
-            report.points.append(point)
+    for r, t in params:
+        report.points.append(GridPoint(params={"r": int(r), "t": int(t)}, values=[next(gaps) for _ in seeds]))
 
     for r in r_grid:
         means = [report.point(r=int(r), t=int(t)).mean for t in t_grid]
@@ -462,23 +470,35 @@ def convergence_sweep(
 DEFAULT_ETA_GRID = (0.5, 1.0, 2.0, 3.0, 4.0, 6.0)
 
 
-def _pick_step_size(candidates, run_arm: Callable, arm: str):
-    """(eta, result) of the candidate step size whose run_arm(eta) ->
-    (score, result) scores lowest. A candidate is disqualified when it
-    raises FloatingPointError or scores non-finite; on a tie the earlier
-    candidate wins. Raises FloatingPointError naming `arm` when every
-    candidate is disqualified."""
-    best = None
-    for eta in candidates:
+def _pick_step_size(eta_grid, seeds, fit: Callable, arm: str):
+    """(eta, results) of the step size in eta_grid whose fits score lowest.
+
+    fit(eta, seed) -> (score, result) runs once per (eta, seed), all of
+    them one `run_grid`; a candidate scores the mean over its seeds, and
+    `results` lists the chosen candidate's per-seed results. A candidate is
+    disqualified when one of its fits raises FloatingPointError or its
+    score is non-finite; on a tie the earlier candidate wins. Raises
+    FloatingPointError naming `arm` when every candidate is disqualified."""
+    seeds = list(seeds)
+
+    def job(eta_seed):
         try:
             # overflow warnings are expected when a candidate rate diverges;
             # the divergence disqualifies it
             with np.errstate(over="ignore", invalid="ignore"):
-                score, result = run_arm(eta)
+                return fit(*eta_seed)
         except FloatingPointError:
+            return None
+
+    fits = iter(run_grid(job, [(eta, seed) for eta in eta_grid for seed in seeds]))
+    best = None
+    for eta in eta_grid:
+        runs = [next(fits) for _ in seeds]
+        if None in runs:
             continue
+        score = float(np.mean([score for score, _ in runs]))
         if np.isfinite(score) and (best is None or score < best[0]):
-            best = (score, eta, result)
+            best = (score, eta, [result for _, result in runs])
     if best is None:
         raise FloatingPointError(f"every step size diverged for {arm}")
     return best[1], best[2]
@@ -507,19 +527,15 @@ def expressiveness_sweep(
     for r, t in rt_grid:
         point = GridPoint(params={"r": int(r), "t": int(t)})
 
-        def run_arm(eta):
-            train_losses, errs = [], []
-            for seed in seeds:
-                model = task.make_student()
-                cfg = BoostConfig(iterations=int(t), total_steps=total_steps, rank=int(r),
-                                  sample_layers=task.start.layers, eta=eta, batch_size=batch_size,
-                                  seed=seed * 104729 + r * 131 + t)
-                xgblora_fit(model, data, cfg)
-                train_losses.append(loss_eval(model, data))
-                errs.append(task.heldout_error(model))
-            return float(np.mean(train_losses)), errs
+        def fit(eta, seed):
+            model = task.make_student()
+            cfg = BoostConfig(iterations=int(t), total_steps=total_steps, rank=int(r),
+                              sample_layers=task.start.layers, eta=eta, batch_size=batch_size,
+                              seed=seed * 104729 + r * 131 + t)
+            xgblora_fit(model, data, cfg)
+            return loss_eval(model, data), task.heldout_error(model)
 
-        chosen, errs = _pick_step_size(eta_grid, run_arm, arm=f"arm (r={r}, t={t})")
+        chosen, errs = _pick_step_size(eta_grid, seeds, fit, arm=f"arm (r={r}, t={t})")
         point.values = errs
         point.extras["eta"] = [chosen for _ in errs]
         report.points.append(point)
@@ -591,19 +607,15 @@ def kappa_sweep(
     for kappa in kappa_grid:
         point = GridPoint(params={"kappa": int(kappa)})
 
-        def run_arm(eta):
-            losses, accs = [], []
-            for seed in seeds:
-                model = model_builder()
-                cfg = BoostConfig(steps_per_booster=int(kappa), total_steps=total_steps, rank=1,
-                                  sample_layers=sample_layers or model.layers, policy="all", eta=eta,
-                                  batch_size=batch_size, seed=seed * 60013 + kappa)
-                xgblora_fit(model, data, cfg)
-                losses.append(loss_eval(model, data))
-                accs.append(accuracy(model, data))
-            return float(np.mean(losses)), accs
+        def fit(eta, seed):
+            model = model_builder()
+            cfg = BoostConfig(steps_per_booster=int(kappa), total_steps=total_steps, rank=1,
+                              sample_layers=sample_layers or model.layers, policy="all", eta=eta,
+                              batch_size=batch_size, seed=seed * 60013 + kappa)
+            xgblora_fit(model, data, cfg)
+            return loss_eval(model, data), accuracy(model, data)
 
-        chosen, accs = _pick_step_size(eta_grid, run_arm, arm=f"kappa={kappa}")
+        chosen, accs = _pick_step_size(eta_grid, seeds, fit, arm=f"kappa={kappa}")
         point.values = accs
         point.extras["eta"] = [chosen for _ in seeds]
         report.points.append(point)

@@ -26,7 +26,7 @@ from xgblora.config import RunConfig
 from xgblora.lora import AdapterError, init_adapter_set, merge_adapters
 from xgblora.models import Dataset, build_mlp
 from xgblora.tasks import gen_teacher_dataset
-from xgblora.tensor import Rng
+from xgblora.tensor import Rng, frobenius_norm, sgd_step
 
 
 class TestBoostConfig:
@@ -175,6 +175,48 @@ class TestTrainBooster:
         assert trace.steps == 4
         train_booster(model, adapters, data, booster_cfg(10, 0.05, 8), rng=rng, trace=trace)
         assert trace.steps == 10
+
+    def test_one_index_draw_matches_per_step_draws(self):
+        """The bulk index draw gives the per-step loop's adapters, trace and
+        generator state, at a pause mid-booster and at its end."""
+        model, data = quadratic_setup(seed=5)
+        cfg = booster_cfg(7, 0.1, 8, lam=0.01)
+        adapters = init_adapter_set(model, mz.list_adaptable_weights(model), r=2, rng=Rng(3))
+        ref_adapters = init_adapter_set(model, mz.list_adaptable_weights(model), r=2, rng=Rng(3))
+        rng, ref_rng = Rng(21), Rng(21)
+        trace = ref_trace = None
+        for max_steps in (3, None):
+            trace = train_booster(model, adapters, data, cfg, rng, trace=trace, max_steps=max_steps)
+            ref_trace = per_step_draw_booster(model, ref_adapters, data, cfg, ref_rng, ref_trace, max_steps)
+            assert rng.state == ref_rng.state
+            assert trace.step_losses == ref_trace.step_losses
+            for wid, pair in adapters.pairs.items():
+                ref = ref_adapters.pairs[wid]
+                assert np.array_equal(pair.a.data, ref.a.data)
+                assert np.array_equal(pair.b.data, ref.b.data)
+                assert trace.pair_stats[str(wid)].grad_max == ref_trace.pair_stats[str(wid)].grad_max
+        assert trace.steps == 7
+
+
+def per_step_draw_booster(model, adapters, data, cfg, rng, trace=None, max_steps=None):
+    """train_booster's step loop as it was with one index draw per step (no
+    divergence check, no final norms): the reference for its bulk draw."""
+    if trace is None:
+        trace = bb.BoosterTrace.for_adapters(adapters)
+    params = adapters.trainable_params()
+    todo = cfg.steps_per_booster - trace.steps
+    if max_steps is not None:
+        todo = min(todo, max_steps)
+    for _ in range(todo):
+        idx = rng.randint_array(data.n, cfg.batch_size)
+        loss = mz.batch_loss(model, data.batch(idx), adapters=adapters, lam=cfg.lam)
+        loss.backward()
+        for wid, pair in adapters.pairs.items():
+            ps = trace.pair_stats[str(wid)]
+            ps.grad_max = max(ps.grad_max, frobenius_norm(pair.a.grad), frobenius_norm(pair.b.grad))
+        sgd_step(params, cfg.eta)
+        trace.step_losses.append(loss.item())
+    return trace
 
 
 class TestXgbLoraFit:

@@ -165,6 +165,11 @@ class TestLipschitzProbe:
         with pytest.raises(ValueError):
             lipschitz_probe(lambda ws: ws, (2, 2), n_pairs=5, radius=0.0, rng=Rng(1))
 
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+    def test_radius_must_be_finite_and_positive(self, radius):
+        with pytest.raises(ValueError, match=f"^radius must be finite and > 0, got {radius}$"):
+            lipschitz_probe(lambda ws: ws, (2, 2), n_pairs=5, radius=radius, rng=Rng(1))
+
     @pytest.mark.parametrize("shape", [(4,), (2, 3, 4), 6])
     def test_shape_must_be_2d(self, shape):
         with pytest.raises(ValueError, match="^shape must be 2-D"):
@@ -302,17 +307,30 @@ class TestPickStepSize:
 
     def test_lowest_finite_score_wins_and_ties_keep_the_earlier(self):
         scores = {0.5: 2.0, 1.0: float("nan"), 2.0: 1.0, 3.0: 1.0, 4.0: float("inf")}
-        got = probes._pick_step_size(scores, lambda eta: (scores[eta], f"run{eta}"), arm="demo")
-        assert got == (2.0, "run2.0")
+        got = probes._pick_step_size(scores, (0, 1), lambda eta, seed: (scores[eta], f"run{eta}/{seed}"),
+                                     arm="demo")
+        assert got == (2.0, ["run2.0/0", "run2.0/1"])
 
     def test_all_disqualified_names_the_arm(self):
-        def run_arm(eta):
+        def fit(eta, seed):
             if eta > 1:
                 raise FloatingPointError("diverged")
             return float("nan"), None
 
         with pytest.raises(FloatingPointError, match="kappa=4"):
-            probes._pick_step_size((1.0, 2.0), run_arm, arm="kappa=4")
+            probes._pick_step_size((1.0, 2.0), (0,), fit, arm="kappa=4")
+
+    def test_one_diverging_seed_disqualifies_its_eta(self):
+        """The best-scoring candidate loses when one of its seeds diverges,
+        also when its fits run in forked workers."""
+
+        def fit(eta, seed):
+            if eta == 2.0 and seed == 1:
+                raise FloatingPointError("diverged")
+            return 1.0 / eta, (eta, seed)
+
+        assert probes._pick_step_size((0.5, 1.0, 2.0), (0, 1, 2), fit, arm="demo") == (
+            1.0, [(1.0, 0), (1.0, 1), (1.0, 2)])
 
     def test_kappa_sweep_skips_a_nan_candidate(self):
         from xgblora.models import build_transformer
