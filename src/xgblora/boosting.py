@@ -28,6 +28,8 @@ from xgblora.models import (
     Dataset,
     ModelSpec,
     batch_loss,
+    layer_input,
+    layer_loss,
     list_adaptable_weights,
     loss_eval,
     sort_key,
@@ -195,6 +197,17 @@ def train_booster(
     draw, row j for step j: the same stream, and the same final generator
     state, as one draw per step. So after a divergence the generator has
     moved past the failed step, to the end of this call's draw.
+
+    Layers below the lowest adapted one, `lo`, are frozen. When lo > 1 and
+    a booster's steps draw at least as many rows as the dataset holds
+    (steps_per_booster * batch_size >= n), the call computes the
+    activations entering layer lo for the whole dataset once
+    (`layer_input`, in chunks of batch_size examples, so that each row
+    ends on the bits the step's own forward would give it), and each step
+    gathers its rows and runs the forward from layer lo (`layer_loss`).
+    Whether a call does so depends on the
+    config alone, and the cache covers every row, not only the drawn ones,
+    so a resumed booster computes what the uninterrupted one does.
     """
     adapters.check_live()
     if trace is None:
@@ -206,9 +219,15 @@ def train_booster(
     if max_steps is not None:
         todo = max(0, min(todo, max_steps))
     draws = rng.randint_array(data.n, todo * cfg.batch_size).reshape(todo, cfg.batch_size)
+    lo = min((wid.layer for wid in adapters.pairs), default=1)
+    prefix = None
+    if lo > 1 and kappa * cfg.batch_size >= data.n and todo:
+        prefix = layer_input(model, data, lo, cfg.batch_size)
     for idx in draws:
-        batch = data.batch(idx)
-        loss = batch_loss(model, batch, adapters=adapters, lam=cfg.lam)
+        if prefix is None:
+            loss = batch_loss(model, data.batch(idx), adapters=adapters, lam=cfg.lam)
+        else:
+            loss = layer_loss(model, prefix[idx], data.targets[idx], adapters, cfg.lam, lo)
         loss.backward()
         for wid, pair in adapters.pairs.items():
             ps = trace.pair_stats[str(wid)]

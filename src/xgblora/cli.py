@@ -39,7 +39,7 @@ from xgblora.boosting import (
 from xgblora.checkpoint import CheckpointState, load_checkpoint, save_checkpoint
 from xgblora.config import RunConfig, load_config, save_config
 from xgblora.lora import param_count
-from xgblora.models import accuracy, build_transformer, loss_eval
+from xgblora.models import build_transformer, forward, logits_accuracy, task_loss
 from xgblora.reporting import MetricsWriter, emit_report, svg_line_plot
 from xgblora.tasks import gen_sequence_dataset, gen_teacher_dataset
 from xgblora.tensor import Rng
@@ -128,7 +128,7 @@ def cmd_train(args) -> int:
             with MetricsWriter(metrics_path, run_id, model.total_params()) as mw:
                 model, losses = full_finetune(model, data, cfg)
                 mw.write_step(1, len(losses), losses[-1], model.total_params())
-            final = _final_train_loss(model, data)
+            final = _final_train_loss(model, data, forward(model, data))
             save_checkpoint(ckpt_path, CheckpointState(model, step=len(losses), booster=0, rng_state=0))
             print(f"final loss {final:.6g}")
             return EXIT_OK
@@ -140,20 +140,22 @@ def cmd_train(args) -> int:
                 mw.write_iteration(trace, run.global_step, param_count(model, run.adapters)["trainable"])
 
             boost_step(run, stop_after_step=args.stop_after_step, on_merge=on_merge)
-        final = _final_train_loss(model, data)
+        logits = forward(model, data)
+        final = _final_train_loss(model, data, logits)
 
     run.save(ckpt_path)
     status = "done" if run.done else f"paused at step {run.global_step}"
     print(f"{status}; train loss {final:.6g}")
     if model.kind == "tiny_transformer":
-        print(f"train accuracy {accuracy(model, data):.4f}")
+        print(f"train accuracy {logits_accuracy(logits, data.targets):.4f}")
     return EXIT_OK
 
 
-def _final_train_loss(model, data) -> float:
-    """Full-data train loss of the trained model; a non-finite one means the
-    last update diverged, which no per-step loss saw."""
-    value = loss_eval(model, data)
+def _final_train_loss(model, data, logits) -> float:
+    """Full-data train loss of the trained model from its `logits` on
+    `data`; a non-finite one means the last update diverged, which no
+    per-step loss saw."""
+    value = task_loss(model, logits, data.targets).item()
     if not np.isfinite(value):
         raise FloatingPointError(f"run diverged: final train loss {value}; lower eta")
     return value

@@ -1,10 +1,10 @@
 """One runner for grids of independent, seeded fits.
 
-`run_grid(fn, jobs)` is `[fn(job) for job in jobs]`, computed in forked
-worker processes, one per CPU this process may use and never more than
-there are jobs. Every probe and sweep that fits a grid goes through it. A
-fit is a pure function of its job, so a pooled run returns the same bits as
-a serial one, and writes the same report bytes.
+`run_grid(fn, jobs)` is `[fn(job) for job in jobs]`, computed by this
+process and forked workers, one process per CPU this process may use and
+never more than there are jobs. Every probe and sweep that fits a grid
+goes through it. A fit is a pure function of its job, so a pooled run
+returns the same bits as a serial one, and writes the same report bytes.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import os
 import threading
 from typing import Callable, Optional, Sequence
 
-# True only inside a forked grid worker, whose own grids run serially
+# True while this process runs grid jobs, in a forked worker or as the
+# parent; a grid a job starts runs serially
 _in_worker = False
 
 _OPENBLAS_SIGNATURES = {"set_num_threads": ([ctypes.c_int], None), "get_num_threads": ([], ctypes.c_int)}
@@ -41,22 +42,23 @@ def openblas(name: str) -> Optional[Callable]:
 
 
 def run_grid(fn: Callable, jobs: Sequence) -> list:
-    """`[fn(job) for job in jobs]`, in job order, computed in
-    min(CPUs this process may use, len(jobs)) forked workers.
+    """`[fn(job) for job in jobs]`, in job order, computed by this process
+    and min(CPUs this process may use, len(jobs)) - 1 forked workers.
 
-    Each worker takes the next job index from a shared counter until none
-    is left, so a few costly jobs do not leave a worker idle, and sends its
-    results back once, at the end. Each worker runs OpenBLAS on one
-    thread: at its default of one thread per CPU, the workers' BLAS threads
-    would contend for the same CPUs. This process keeps its own thread
-    count. A job's exception is raised again here, and no worker outlives
-    the call, also when a job raises.
+    This process and each worker take the next job index from a shared
+    counter until none is left, so a few costly jobs do not leave anyone
+    idle; a worker sends its results back once, at the end. Every job runs
+    with OpenBLAS on one thread: at its default of one thread per CPU, the
+    BLAS threads of the workers and of this process would contend for the
+    same CPUs. This process's own thread count is restored when the call
+    returns or raises. A job's exception is raised again here, and no
+    worker outlives the call, also when a job raises, here or in a worker.
 
     Runs serially, in this process, when there is one CPU or one job, when
-    the caller is itself a grid worker, when another Python thread is alive
+    the caller is itself a grid job, when another Python thread is alive
     (a forked child gets a copy of any lock such a thread holds, held by
     no one), or when numpy's BLAS is not an OpenBLAS whose thread count can
-    be set.
+    be read and set.
 
     The start method is `fork`, named explicitly since the platform
     default changes (Python 3.14 on Linux). A spawned worker would import
@@ -65,13 +67,14 @@ def run_grid(fn: Callable, jobs: Sequence) -> list:
     local model-builder closure cannot be. A forked worker inherits both;
     only results come back pickled.
     """
+    global _in_worker
     jobs = list(jobs)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(jobs))
-    pin = None
-    if workers > 1 and not _in_worker and threading.active_count() == 1:
-        pin = openblas("set_num_threads")
-    if pin is None:
+    workers = min(cpus, len(jobs)) - 1
+    pin = get = None
+    if workers > 0 and not _in_worker and threading.active_count() == 1:
+        pin, get = openblas("set_num_threads"), openblas("get_num_threads")
+    if pin is None or get is None:
         return [fn(job) for job in jobs]
     import multiprocessing  # here, not at module load: about 18 ms of import a serial run never needs
     from multiprocessing.connection import wait
@@ -80,6 +83,7 @@ def run_grid(fn: Callable, jobs: Sequence) -> list:
     next_job = ctx.Value("q", 0)
     started, pending = [], {}  # pending: receiving end of a worker's pipe -> the worker
     results = [None] * len(jobs)
+    threads = get()
     try:
         for _ in range(workers):
             receive, send = ctx.Pipe(duplex=False)
@@ -88,6 +92,10 @@ def run_grid(fn: Callable, jobs: Sequence) -> list:
             send.close()  # so that a worker that dies reads as end-of-file, not a hang
             started.append(worker)
             pending[receive] = worker
+        pin(1)
+        _in_worker = True
+        for i, result in _take_jobs(fn, jobs, next_job):
+            results[i] = result
         while pending:
             for receive in wait(list(pending)):
                 worker = pending.pop(receive)
@@ -105,6 +113,8 @@ def run_grid(fn: Callable, jobs: Sequence) -> list:
                 for i, result in got:
                     results[i] = result
     finally:
+        _in_worker = False
+        pin(threads)
         for receive in pending:
             receive.close()
         for worker in started:
@@ -113,23 +123,28 @@ def run_grid(fn: Callable, jobs: Sequence) -> list:
     return results
 
 
+def _take_jobs(fn, jobs, next_job) -> list:
+    """[(index, fn(jobs[index])), ...] for each index taken from the shared
+    counter until it passes the last job."""
+    done = []
+    while True:
+        with next_job.get_lock():
+            i = next_job.value
+            next_job.value += 1
+        if i >= len(jobs):
+            return done
+        done.append((i, fn(jobs[i])))
+
+
 def _work(fn, jobs, next_job, send, pin):
-    """A grid worker: run jobs until the counter passes the last, then send
+    """A grid worker: run jobs from the counter, then send
     (True, [(index, result), ...]), or (False, (exception, traceback text))
     once a job raises."""
     global _in_worker
     _in_worker = True
     pin(1)
-    done = []
     try:
-        while True:
-            with next_job.get_lock():
-                i = next_job.value
-                next_job.value += 1
-            if i >= len(jobs):
-                break
-            done.append((i, fn(jobs[i])))
-        message = (True, done)
+        message = (True, _take_jobs(fn, jobs, next_job))
     except Exception as exc:  # raised again in the parent
         import traceback  # here, as multiprocessing is: only a failing worker needs it
 

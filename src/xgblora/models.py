@@ -7,7 +7,9 @@ feed-forward layers, learned positional embeddings, causal masking and
 cross-entropy on the last position. All weights are float64 and live in a
 flat {WeightId: Tensor} map so adapters can target any matrix. A minibatch
 is a `Dataset` too: `Dataset.batch` selects one, and `forward`,
-`batch_loss`, `loss_eval` and `accuracy` take a dataset whole.
+`batch_loss`, `loss_eval` and `accuracy` take a dataset whole. The forward
+can also start at a later layer, from the activations `layer_input`
+computed below it (`layer_loss`).
 """
 
 from __future__ import annotations
@@ -245,51 +247,74 @@ def _resolve_weights(model: ModelSpec, adapters):
     return eff
 
 
-def _mlp_forward(model: ModelSpec, x: Tensor, eff) -> Tensor:
-    h = matmul(x, transpose(eff[WeightId(1, Role.MLP_DENSE)]))
-    for i in range(2, model.layers):
-        h = relu(matmul(h, transpose(eff[WeightId(i, Role.MLP_DENSE)])))
-    if model.layers >= 2:
-        h = matmul(h, transpose(eff[WeightId(model.layers, Role.MLP_DENSE)]))
-    return h
+def _stem(model: ModelSpec, inputs, eff) -> Tensor:
+    """The activations entering layer 1: the features of an MLP, the token
+    plus positional embeddings of a transformer."""
+    if model.kind == "mlp":
+        x = inputs if isinstance(inputs, Tensor) else Tensor(inputs)
+        if x.data.shape[-1] != model.dims[0]:
+            raise ShapeError(f"input dim {x.data.shape[-1]} does not match model dim {model.dims[0]}")
+        return x
+    ids = np.asarray(inputs)
+    if ids.ndim != 2:
+        raise ShapeError(f"transformer input must be (batch, seq) ids, got shape {ids.shape}")
+    if ids.shape[1] > model.max_seq:
+        raise ShapeError(f"sequence length {ids.shape[1]} exceeds max_seq {model.max_seq}")
+    tok = embedding(eff[WeightId(1, Role.EMBEDDING)], ids)
+    pos = embedding(eff[WeightId(1, Role.POS_EMBEDDING)], np.arange(ids.shape[1]))
+    return tok + pos
+
+
+def _mlp_block(model: ModelSpec, x: Tensor, l: int, eff) -> Tensor:
+    """Dense layer l; relu on every layer but the first and the last."""
+    h = matmul(x, transpose(eff[WeightId(l, Role.MLP_DENSE)]))
+    return relu(h) if 1 < l < model.layers else h
 
 
 def _causal_mask(seq) -> Tensor:
     return Tensor(np.triu(np.full((seq, seq), ATTN_MASK_NEG), k=1))
 
 
-def _transformer_forward(model: ModelSpec, ids: np.ndarray, eff) -> Tensor:
-    b, seq = ids.shape
-    if seq > model.max_seq:
-        raise ShapeError(f"sequence length {seq} exceeds max_seq {model.max_seq}")
-    d, n_heads = model.d_model, model.n_heads
+def _transformer_block(model: ModelSpec, x: Tensor, l: int, eff) -> Tensor:
+    """Pre-norm residual block l: causal self-attention, then the gelu
+    feed-forward layer."""
+    b, seq, d = x.data.shape
+    n_heads = model.n_heads
     d_head = d // n_heads
+    a = layer_norm(x)
+    q = matmul(a, transpose(eff[WeightId(l, Role.ATTN_Q)]))
+    k = matmul(a, transpose(eff[WeightId(l, Role.ATTN_K)]))
+    v = matmul(a, transpose(eff[WeightId(l, Role.ATTN_V)]))
+    # (b, seq, d) -> (b, heads, seq, d_head)
+    q = transpose(reshape(q, (b, seq, n_heads, d_head)), 1, 2)
+    k = transpose(reshape(k, (b, seq, n_heads, d_head)), 1, 2)
+    v = transpose(reshape(v, (b, seq, n_heads, d_head)), 1, 2)
+    scores = matmul(q, transpose(k)) * (1.0 / math.sqrt(d_head))
+    attn = softmax(scores + _causal_mask(seq))
+    ctx = reshape(transpose(matmul(attn, v), 1, 2), (b, seq, d))
+    x = x + matmul(ctx, transpose(eff[WeightId(l, Role.ATTN_O)]))
 
-    tok = embedding(eff[WeightId(1, Role.EMBEDDING)], ids)
-    pos = embedding(eff[WeightId(1, Role.POS_EMBEDDING)], np.arange(seq))
-    x = tok + pos
-    mask = _causal_mask(seq)
+    a2 = layer_norm(x)
+    h = gelu(matmul(a2, transpose(eff[WeightId(l, Role.FFN_UP)])))
+    return x + matmul(h, transpose(eff[WeightId(l, Role.FFN_DOWN)]))
 
-    for l in range(1, model.layers + 1):
-        a = layer_norm(x)
-        q = matmul(a, transpose(eff[WeightId(l, Role.ATTN_Q)]))
-        k = matmul(a, transpose(eff[WeightId(l, Role.ATTN_K)]))
-        v = matmul(a, transpose(eff[WeightId(l, Role.ATTN_V)]))
-        # (b, seq, d) -> (b, heads, seq, d_head)
-        q = transpose(reshape(q, (b, seq, n_heads, d_head)), 1, 2)
-        k = transpose(reshape(k, (b, seq, n_heads, d_head)), 1, 2)
-        v = transpose(reshape(v, (b, seq, n_heads, d_head)), 1, 2)
-        scores = matmul(q, transpose(k)) * (1.0 / math.sqrt(d_head))
-        attn = softmax(scores + mask)
-        ctx = reshape(transpose(matmul(attn, v), 1, 2), (b, seq, d))
-        x = x + matmul(ctx, transpose(eff[WeightId(l, Role.ATTN_O)]))
 
-        a2 = layer_norm(x)
-        h = gelu(matmul(a2, transpose(eff[WeightId(l, Role.FFN_UP)])))
-        x = x + matmul(h, transpose(eff[WeightId(l, Role.FFN_DOWN)]))
+def _blocks(model: ModelSpec, x: Tensor, eff, start: int, stop: int) -> Tensor:
+    """Layers start..stop-1 on `x`, the activations entering layer `start`."""
+    block = _mlp_block if model.kind == "mlp" else _transformer_block
+    for l in range(start, stop):
+        x = block(model, x, l, eff)
+    return x
 
-    x = layer_norm(x)
-    return matmul(x, transpose(eff[WeightId(model.layers, Role.OUTPUT)]))
+
+def _forward(model: ModelSpec, x: Tensor, eff, start: int) -> Tensor:
+    """Logits from `x`, the activations entering layer `start`: the layers
+    from there on, then the transformer's final norm and output projection
+    (an MLP's last layer is its output)."""
+    x = _blocks(model, x, eff, start, model.layers + 1)
+    if model.kind == "mlp":
+        return x
+    return matmul(layer_norm(x), transpose(eff[WeightId(model.layers, Role.OUTPUT)]))
 
 
 def forward(model: ModelSpec, data, adapters=None) -> Tensor:
@@ -298,15 +323,29 @@ def forward(model: ModelSpec, data, adapters=None) -> Tensor:
     stored weights."""
     inputs = data.inputs if isinstance(data, Dataset) else data
     eff = _resolve_weights(model, adapters)
-    if model.kind == "mlp":
-        x = inputs if isinstance(inputs, Tensor) else Tensor(inputs)
-        if x.data.shape[-1] != model.dims[0]:
-            raise ShapeError(f"input dim {x.data.shape[-1]} does not match model dim {model.dims[0]}")
-        return _mlp_forward(model, x, eff)
-    ids = np.asarray(inputs)
-    if ids.ndim != 2:
-        raise ShapeError(f"transformer input must be (batch, seq) ids, got shape {ids.shape}")
-    return _transformer_forward(model, ids, eff)
+    return _forward(model, _stem(model, inputs, eff), eff, 1)
+
+
+def layer_input(model: ModelSpec, data: Dataset, layer: int, rows: int) -> np.ndarray:
+    """The activations entering `layer` for every example of `data`, through
+    the base weights, with no graph kept: (n, d) for an MLP, (n, seq,
+    d_model) for a transformer. Layers below the lowest adapted one are
+    frozen, so a booster computes them once (`train_booster`).
+
+    They are computed `rows` examples at a time, wrapping around to the
+    first examples to fill the last chunk, so that every product has the
+    shape it has in a minibatch of `rows` examples: OpenBLAS takes another
+    path for products of fewer than 40 rows, and a row it computes in a
+    larger product can end on other last bits."""
+    eff = model.weights
+    out = None
+    for start in range(0, data.n, rows):
+        idx = np.arange(start, start + rows) % data.n
+        x = _blocks(model, _stem(model, data.inputs[idx], eff), eff, 1, layer).data
+        if out is None:
+            out = np.empty((data.n,) + x.shape[1:])
+        out[idx] = x
+    return out
 
 
 def _pool_last(logits: Tensor) -> Tensor:
@@ -331,8 +370,24 @@ def batch_loss(model: ModelSpec, data: Dataset, adapters=None, lam=0.0) -> Tenso
     """Training objective on a minibatch or a whole dataset: mean task loss
     plus lam * sum of squared adapter Frobenius norms over the active
     adapters only."""
-    logits = forward(model, data, adapters=adapters)
-    loss = task_loss(model, logits, data.targets)
+    return _objective(model, forward(model, data, adapters=adapters), data.targets, adapters, lam)
+
+
+def layer_loss(model: ModelSpec, x: np.ndarray, targets, adapters, lam: float, layer: int) -> Tensor:
+    """`batch_loss` of the examples whose activations entering `layer` are
+    `x` (rows of `layer_input`): the forward starts at that layer. Exact
+    when no adapter sits below `layer`."""
+    eff = _resolve_weights(model, adapters)
+    # a leaf made like an op's output, with no finiteness check: a
+    # non-finite activation ends in the step's divergence error, as it
+    # does when the forward starts at layer 1
+    logits = _forward(model, Tensor._from_op(x, (), None), eff, layer)
+    return _objective(model, logits, targets, adapters, lam)
+
+
+def _objective(model: ModelSpec, logits: Tensor, targets, adapters, lam) -> Tensor:
+    """The task loss of `logits`, plus the adapters' penalty when lam > 0."""
+    loss = task_loss(model, logits, targets)
     if lam and adapters is not None:
         penalty = None
         for pair in adapters.pairs.values():
@@ -352,9 +407,14 @@ def loss_eval(model: ModelSpec, dataset: Dataset, adapters=None, lam=0.0) -> flo
 
 def accuracy(model: ModelSpec, dataset: Dataset) -> float:
     """Classification accuracy (transformers only)."""
-    logits = forward(model, dataset)
+    return logits_accuracy(forward(model, dataset), dataset.targets)
+
+
+def logits_accuracy(logits: Tensor, targets) -> float:
+    """Share of examples whose largest logit (at the last position of a
+    sequence) is at their target class."""
     z = logits.data
     if z.ndim == 3:
         z = z[:, -1, :]
     pred = z.argmax(axis=-1)
-    return float((pred == np.asarray(dataset.targets)).mean())
+    return float((pred == np.asarray(targets)).mean())

@@ -7,10 +7,15 @@ reshape, sum, cross-entropy-with-logits, mse. Tensor data is always
 float64, the one precision; a fixed seed gives bit-identical runs. A test
 pins that a short parity fit ends on the same weight bits with OpenBLAS on
 one thread and on two; other BLAS builds and thread counts are not checked.
+
+`backward()` releases the graph it walks, so a training step's arrays are
+freed by reference counting as soon as it returns. Importing this module
+therefore tunes glibc's allocator to keep the freed heap (`_keep_heap`).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 
 import numpy as np
@@ -31,7 +36,43 @@ class ShapeError(ValueError):
 
 
 class GraphError(ValueError):
-    """Autodiff graph misuse (non-scalar loss, detached node, ...)."""
+    """Autodiff graph misuse (non-scalar loss, detached node, a graph an
+    earlier backward() consumed, ...)."""
+
+
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_heap() -> bool:
+    """Have glibc keep freed memory for reuse instead of returning it;
+    False where libc has no `mallopt` (not glibc), which keeps its policy.
+
+    A parity training step (batch 64, d_model 32) allocates a few MB of
+    arrays, the largest 128 KB, and `backward()` frees them all when it
+    returns. At glibc's defaults, blocks from 128 KB up are mmapped one by
+    one, and a free heap top over twice the largest of them is trimmed, so
+    every step gave its pages back to the OS and faulted them in again.
+    Measured on a 2-vCPU host with OpenBLAS on one thread, over 8 fits of
+    2 x 64 parity steps after a warm-up fit, with no frozen-prefix cache:
+    1357 minor page faults per step, 1.7 s of system time over the 1024
+    steps and 147 steps/s, slower than the 150 of a tape that kept its
+    graphs as reference cycles. Blocks below 32 MiB now come from the
+    heap, and the heap keeps up to 256 MiB free at its top: 0 page faults
+    per step and 208 steps/s. Peak RSS of such a fit is 40 MB either way
+    (262 MB with the cycles).
+
+    Process-wide, set once at import."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return all([mallopt(_M_MMAP_THRESHOLD, 32 << 20), mallopt(_M_TRIM_THRESHOLD, 256 << 20)])
+
+
+HEAP_KEPT = _keep_heap()
 
 
 def _as_array(data):
@@ -45,10 +86,12 @@ class Tensor:
     """N-d float64 array plus an optional gradient slot.
 
     Ops record a backward closure and parent links; `backward()` walks the
-    implicit graph in reverse topological order exactly once per node.
+    implicit graph in reverse topological order exactly once per node, and
+    drops each closure and link once it has run (`_prev` None marks a
+    consumed node; a leaf's is the empty tuple).
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_backward", "_prev")
+    __slots__ = ("data", "requires_grad", "grad", "_backward", "_prev", "__weakref__")
 
     def __init__(self, data, requires_grad=False):
         self.data = _as_array(data)
@@ -101,7 +144,13 @@ class Tensor:
 
         The loss must be scalar. Each node's closure runs exactly once, in
         reverse topological order, so repeated subexpressions accumulate
-        correctly and replays are bit-identical.
+        correctly and replays are bit-identical. Once a node's closure has
+        run, the closure and the node's parent links are dropped: they are
+        what held the graph together (a closure reads its own node's
+        `.grad`, a reference cycle), so the graph's arrays are freed by
+        reference counting, not by the cyclic collector, as soon as nothing
+        else holds them. A graph is therefore walked once; a second
+        backward() through any of its nodes raises GraphError.
         """
         if self.data.size != 1:
             raise GraphError(f"backward() needs a scalar loss, got shape {self.shape}")
@@ -118,6 +167,11 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._prev is None:
+                raise GraphError(
+                    "backward() through a graph an earlier backward() consumed; "
+                    "recompute the loss to take its gradient again"
+                )
             visited.add(id(node))
             stack.append((node, True))
             for p in node._prev:
@@ -125,9 +179,12 @@ class Tensor:
                     stack.append((p, False))
 
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 node._backward()
+                node._backward = None
+                node._prev = None
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, requires_grad={self.requires_grad})"

@@ -1,4 +1,5 @@
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -9,6 +10,7 @@ import pytest
 import xgblora
 from xgblora import boosting as bb
 from xgblora import models as mz
+from xgblora import tensor as tt
 from xgblora.boosting import (
     BoostConfig,
     ConfigError,
@@ -22,10 +24,11 @@ from xgblora.boosting import (
     train_booster,
     xgblora_fit,
 )
+from xgblora.checkpoint import load_checkpoint
 from xgblora.config import RunConfig
 from xgblora.lora import AdapterError, init_adapter_set, merge_adapters
-from xgblora.models import Dataset, build_mlp
-from xgblora.tasks import gen_teacher_dataset
+from xgblora.models import Dataset, build_mlp, build_transformer
+from xgblora.tasks import gen_sequence_dataset, gen_teacher_dataset
 from xgblora.tensor import Rng, frobenius_norm, sgd_step
 
 
@@ -330,6 +333,131 @@ for wid in sorted(model.weights, key=sort_key):
     h.update(model.weights[wid].data.tobytes())
 print(h.hexdigest())
 """
+
+
+def uncached_booster(model, adapters, data, cfg, rng, trace=None, max_steps=None):
+    """train_booster's step loop as it was before the frozen-prefix cache:
+    every step runs the whole forward on its minibatch. The reference the
+    cached loop must match bit for bit."""
+    adapters.check_live()
+    if trace is None:
+        trace = bb.BoosterTrace.for_adapters(adapters)
+    params = adapters.trainable_params()
+    kappa = cfg.steps_per_booster
+    todo = kappa - trace.steps
+    if max_steps is not None:
+        todo = max(0, min(todo, max_steps))
+    draws = rng.randint_array(data.n, todo * cfg.batch_size).reshape(todo, cfg.batch_size)
+    for idx in draws:
+        loss = mz.batch_loss(model, data.batch(idx), adapters=adapters, lam=cfg.lam)
+        loss.backward()
+        for wid, pair in adapters.pairs.items():
+            ps = trace.pair_stats[str(wid)]
+            ga = frobenius_norm(pair.a.grad) if pair.a.grad is not None else 0.0
+            gb = frobenius_norm(pair.b.grad) if pair.b.grad is not None else 0.0
+            ps.grad_max = max(ps.grad_max, ga, gb)
+        sgd_step(params, cfg.eta)
+        trace.step_losses.append(loss.item())
+    if trace.steps >= kappa:
+        for wid, pair in adapters.pairs.items():
+            ps = trace.pair_stats[str(wid)]
+            ps.a_norm = frobenius_norm(pair.a)
+            ps.b_norm = frobenius_norm(pair.b)
+            ps.a_update_norm = frobenius_norm(pair.a.data - pair.a_init)
+    return trace
+
+
+def golden_parity():
+    """The parity fit of test_golden: 2 boosters of 16 steps, batch 64 of 128
+    examples, 2 of 4 layers per booster (layers 3 and 4 first)."""
+    data = gen_sequence_dataset("parity", seq_len=4, n=128, seed=0)
+    model = build_transformer(vocab=2, d_model=32, n_layers=4, n_heads=4, d_ff=64, rng=Rng(1), max_seq=4)
+    cfg = BoostConfig(iterations=2, steps_per_booster=16, rank=1, sample_layers=2, policy="all",
+                      eta=1.0, batch_size=64, seed=0)
+    return model, data, cfg
+
+
+def parity_small_batches():
+    """Minibatches of 4 sequences, 16 rows a product, and a dataset that 4
+    does not divide: a product of fewer than 40 rows takes another OpenBLAS
+    path, which the prefix's chunks must take too."""
+    model, _, _ = golden_parity()
+    data = gen_sequence_dataset("parity", seq_len=4, n=66, seed=0)
+    cfg = BoostConfig(iterations=2, steps_per_booster=17, rank=1, sample_layers=2, policy="all",
+                      eta=1.0, batch_size=4, seed=0)
+    return model, data, cfg
+
+
+def mlp_layer1_sampled():
+    """A 3-layer MLP adapting one random layer per booster, lam > 0."""
+    data, task = gen_teacher_dataset("teacher-mlp", [6, 10, 10, 4], n=32, seed=2)
+    cfg = BoostConfig(iterations=8, steps_per_booster=4, rank=2, sample_layers=1, eta=0.05,
+                      lam=0.01, batch_size=8, seed=3)
+    return task.make_student(), data, cfg
+
+
+def prefix_layers(monkeypatch) -> list:
+    """The layer of every frozen prefix train_booster builds from here on."""
+    built = []
+
+    def spy(model, data, layer, rows):
+        built.append(layer)
+        return mz.layer_input(model, data, layer, rows)
+
+    monkeypatch.setattr(bb, "layer_input", spy)
+    return built
+
+
+def same_weights(a, b) -> bool:
+    return all(np.array_equal(a.weights[wid].data, b.weights[wid].data) for wid in a.weights)
+
+
+class TestFrozenPrefix:
+    @pytest.mark.parametrize("setup", [golden_parity, parity_small_batches, mlp_layer1_sampled])
+    def test_cached_fit_equals_the_uncached_loop(self, setup, monkeypatch):
+        model, data, cfg = setup()
+        reference = model.copy()
+        with monkeypatch.context() as m:
+            m.setattr(bb, "train_booster", uncached_booster)
+            _, ref_traces = xgblora_fit(reference, data, cfg)
+        built = prefix_layers(monkeypatch)
+        _, traces = xgblora_fit(model, data, cfg)
+        assert any(layer > 1 for layer in built)  # the cache was in use
+        assert same_weights(model, reference)
+        assert [t.step_losses for t in traces] == [t.step_losses for t in ref_traces]
+        assert [t.pair_stats for t in traces] == [t.pair_stats for t in ref_traces]
+
+    def test_paused_and_resumed_while_cached_equals_uninterrupted(self, tmp_path, monkeypatch):
+        model, data, cfg = golden_parity()
+        resumed = model.copy()
+        xgblora_fit(model, data, cfg)
+        built = prefix_layers(monkeypatch)
+        run = bb.BoostRun.start(resumed, data, cfg)
+        bb.boost_step(run, stop_after_step=5)  # mid-booster 1, which adapts layers 3 and 4
+        assert built == [3]
+        run.save(tmp_path / "mid.xgbl")
+        run = bb.BoostRun.resume(load_checkpoint(tmp_path / "mid.xgbl"), data, cfg)
+        bb.boost_step(run)
+        assert built[:2] == [3, 3]  # the resumed booster built its prefix again
+        assert same_weights(run.model, model)
+
+    def test_no_prefix_when_a_booster_draws_fewer_rows_than_the_data(self, monkeypatch):
+        model, data, cfg = golden_parity()
+        cfg = BoostConfig(iterations=4, steps_per_booster=2, rank=1, sample_layers=1,
+                          policy="all", eta=1.0, batch_size=16, seed=0)  # 2 * 16 < 128
+        built = prefix_layers(monkeypatch)
+        _, traces = xgblora_fit(model, data, cfg)
+        assert any(t.selected_layers[0] > 1 for t in traces)
+        assert built == []
+
+    @pytest.mark.skipif(not tt.HEAP_KEPT, reason="libc has no mallopt")
+    def test_kept_heap_leaves_no_page_faults_per_step(self):
+        model, data, cfg = golden_parity()
+        xgblora_fit(model.copy(), data, cfg)  # warm-up
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        xgblora_fit(model.copy(), data, cfg)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults / cfg.total_steps < 50
 
 
 class TestFullFinetune:

@@ -1,5 +1,6 @@
 """run_grid: job order, errors, when it stays serial, one BLAS thread per
-worker, and report bytes equal to a serial run's."""
+job with the caller's own count restored, and report bytes equal to a
+serial run's."""
 
 import multiprocessing
 import os
@@ -33,7 +34,7 @@ def test_results_in_job_order():
     got = grid.run_grid(square_and_pid, range(7))
     assert [sq for sq, _ in got] == [x * x for x in range(7)]
     if POOLED:
-        assert os.getpid() not in {pid for _, pid in got}  # every job ran in a worker
+        assert len({pid for _, pid in got}) <= len(os.sched_getaffinity(0))
     assert grid.run_grid(square_and_pid, []) == []
 
 
@@ -45,10 +46,27 @@ def test_raising_job_is_raised_again_and_no_worker_is_left():
 
     with pytest.raises(FloatingPointError, match="^job 3 diverged$") as raised:
         grid.run_grid(job, range(6))
-    if POOLED:
+    if raised.value.__cause__ is not None:  # job 3 ran in a worker, not in this process
         assert "in a grid worker" in str(raised.value.__cause__)
     assert multiprocessing.active_children() == []
     assert threading.active_count() == 1
+
+
+def test_job_raising_in_the_caller_stops_every_worker():
+    """The caller takes jobs too (a worker alone would need 0.5 s for all
+    of them), and its raising job still stops every worker."""
+    caller = os.getpid()
+
+    def job(x):
+        if os.getpid() == caller:
+            raise FloatingPointError("diverged in the caller")
+        time.sleep(0.01)
+        return x
+
+    with pytest.raises(FloatingPointError, match="^diverged in the caller$") as raised:
+        grid.run_grid(job, range(50))
+    assert raised.value.__cause__ is None
+    assert multiprocessing.active_children() == []
 
 
 def test_serial_on_one_cpu(monkeypatch):
@@ -79,17 +97,26 @@ def test_serial_while_another_thread_is_alive():
 
 @needs_pool
 def test_worker_runs_one_blas_thread_and_the_parent_keeps_its_own():
+    """Every job runs on one BLAS thread, the caller's share included, and
+    the caller's own count is back once the call returns or raises."""
     get, set_threads = grid.openblas("get_num_threads"), grid.openblas("set_num_threads")
     before = get()
     set_threads(2)
     try:
-        parent = get()
         got = grid.run_grid(lambda _: (get(), os.getpid()), range(4))
-        assert get() == parent
+        assert get() == 2
+
+        def raising(x):
+            if x == 1:
+                raise FloatingPointError("diverged")
+            return x
+
+        with pytest.raises(FloatingPointError):
+            grid.run_grid(raising, range(4))
+        assert get() == 2
     finally:
         set_threads(before)
     assert [n for n, _ in got] == [1] * 4
-    assert os.getpid() not in {pid for _, pid in got}
 
 
 def report_bytes(out_dir) -> dict:

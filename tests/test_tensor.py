@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -128,6 +130,46 @@ class TestBackward:
         loss = tt.tsum(y)
         loss.backward()
         assert np.allclose(x.grad, [2.0])
+
+    def test_second_backward_on_a_consumed_graph_raises(self):
+        """backward() releases the graph it walks; walking it again, from the
+        same loss or from another loss that shares a node, is an error, not
+        a silent pass that leaves the gradients unset."""
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = tt.mul(x, x)
+        loss = tt.tsum(y)
+        loss.backward()
+        assert np.array_equal(x.grad, [2.0, 4.0])
+        with pytest.raises(tt.GraphError, match="consumed"):
+            loss.backward()
+        with pytest.raises(tt.GraphError, match="consumed"):
+            tt.tsum(tt.scale(y, 3.0)).backward()
+        x.zero_grad()
+        tt.tsum(tt.mul(x, x)).backward()  # a recomputed loss has a fresh graph
+        assert np.array_equal(x.grad, [2.0, 4.0])
+
+    def test_graph_freed_by_reference_counting(self):
+        """With the cyclic collector off, an interior node of a training
+        step's graph is gone once backward() has returned and the loss is
+        dropped."""
+        from xgblora.lora import init_adapter_set
+        from xgblora.models import batch_loss, build_transformer, list_adaptable_weights
+        from xgblora.tasks import gen_sequence_dataset
+
+        data = gen_sequence_dataset("parity", seq_len=4, n=16, seed=0)
+        model = build_transformer(vocab=2, d_model=8, n_layers=2, n_heads=2, d_ff=16, rng=Rng(1), max_seq=4)
+        adapters = init_adapter_set(model, list_adaptable_weights(model), 1, Rng(2))
+        gc.disable()
+        try:
+            loss = batch_loss(model, data, adapters=adapters)
+            interior = weakref.ref(loss._prev[0])
+            assert interior() is not None
+            loss.backward()
+            del loss
+            assert interior() is None
+        finally:
+            gc.enable()
+        assert all(p.grad is not None for p in adapters.trainable_params())
 
     def test_grad_never_aliases(self):
         """The first gradient a node receives is copied: a leaf's .grad shares
