@@ -14,9 +14,9 @@ import os
 import threading
 from typing import Callable, Optional, Sequence
 
-# True while this process runs grid jobs, in a forked worker or as the
-# parent; a grid a job starts runs serially
-_in_worker = False
+# True while this process runs grid jobs, as a forked worker or as the
+# caller of run_grid; a grid a job starts runs serially
+_in_job = False
 
 _OPENBLAS_SIGNATURES = {"set_num_threads": ([ctypes.c_int], None), "get_num_threads": ([], ctypes.c_int)}
 
@@ -47,11 +47,14 @@ def run_grid(fn: Callable, jobs: Sequence) -> list:
 
     This process and each worker take the next job index from a shared
     counter until none is left, so a few costly jobs do not leave anyone
-    idle; a worker sends its results back once, at the end. Every job runs
-    with OpenBLAS on one thread: at its default of one thread per CPU, the
-    BLAS threads of the workers and of this process would contend for the
-    same CPUs. This process's own thread count is restored when the call
-    returns or raises. A job's exception is raised again here, and no
+    idle; a worker sends its results back once, at the end, or as soon as
+    a job of its raises. This process stops taking jobs once any worker's
+    pipe can be read, so a worker that failed is seen after the job this
+    process is on, not after the rest of the grid. Every job runs with
+    OpenBLAS on one thread: at its default of one thread per CPU, the BLAS
+    threads of the workers and of this process would contend for the same
+    CPUs. This process's own thread count is restored when the call returns
+    or raises. A job's exception is raised again here, and no
     worker outlives the call, also when a job raises, here or in a worker.
 
     Runs serially, in this process, when there is one CPU or one job, when
@@ -67,12 +70,12 @@ def run_grid(fn: Callable, jobs: Sequence) -> list:
     local model-builder closure cannot be. A forked worker inherits both;
     only results come back pickled.
     """
-    global _in_worker
+    global _in_job
     jobs = list(jobs)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(jobs)) - 1
     pin = get = None
-    if workers > 0 and not _in_worker and threading.active_count() == 1:
+    if workers > 0 and not _in_job and threading.active_count() == 1:
         pin, get = openblas("set_num_threads"), openblas("get_num_threads")
     if pin is None or get is None:
         return [fn(job) for job in jobs]
@@ -93,8 +96,8 @@ def run_grid(fn: Callable, jobs: Sequence) -> list:
             started.append(worker)
             pending[receive] = worker
         pin(1)
-        _in_worker = True
-        for i, result in _take_jobs(fn, jobs, next_job):
+        _in_job = True
+        for i, result in _take_jobs(fn, jobs, next_job, lambda: bool(wait(list(pending), timeout=0))):
             results[i] = result
         while pending:
             for receive in wait(list(pending)):
@@ -113,7 +116,7 @@ def run_grid(fn: Callable, jobs: Sequence) -> list:
                 for i, result in got:
                     results[i] = result
     finally:
-        _in_worker = False
+        _in_job = False
         pin(threads)
         for receive in pending:
             receive.close()
@@ -123,28 +126,34 @@ def run_grid(fn: Callable, jobs: Sequence) -> list:
     return results
 
 
-def _take_jobs(fn, jobs, next_job) -> list:
+def _take_jobs(fn, jobs, next_job, stop) -> list:
     """[(index, fn(jobs[index])), ...] for each index taken from the shared
-    counter until it passes the last job."""
+    counter until it passes the last job or `stop()` is true.
+
+    A worker sends only once the counter has passed the last job, or when
+    a job of its raised, or it dies; so when the caller's `stop` (a worker's
+    pipe can be read) turns true, either no job is left to take or the grid
+    has failed, and no job is lost."""
     done = []
-    while True:
+    while not stop():
         with next_job.get_lock():
             i = next_job.value
             next_job.value += 1
         if i >= len(jobs):
-            return done
+            break
         done.append((i, fn(jobs[i])))
+    return done
 
 
 def _work(fn, jobs, next_job, send, pin):
     """A grid worker: run jobs from the counter, then send
     (True, [(index, result), ...]), or (False, (exception, traceback text))
     once a job raises."""
-    global _in_worker
-    _in_worker = True
+    global _in_job
+    _in_job = True
     pin(1)
     try:
-        message = (True, _take_jobs(fn, jobs, next_job))
+        message = (True, _take_jobs(fn, jobs, next_job, lambda: False))
     except Exception as exc:  # raised again in the parent
         import traceback  # here, as multiprocessing is: only a failing worker needs it
 

@@ -91,7 +91,7 @@ class Tensor:
     consumed node; a leaf's is the empty tuple).
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_backward", "_prev", "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "_backward", "_prev")
 
     def __init__(self, data, requires_grad=False):
         self.data = _as_array(data)

@@ -39,17 +39,42 @@ def test_results_in_job_order():
 
 
 def test_raising_job_is_raised_again_and_no_worker_is_left():
+    """Pooled, every job a worker takes raises and the caller's jobs are
+    slow, so a worker is sure to take one; serial, job 3 raises."""
+    caller = os.getpid()
+
     def job(x):
-        if x == 3:
+        if (os.getpid() != caller) if POOLED else x == 3:
             raise FloatingPointError(f"job {x} diverged")
+        time.sleep(0.01)
         return x
 
-    with pytest.raises(FloatingPointError, match="^job 3 diverged$") as raised:
-        grid.run_grid(job, range(6))
-    if raised.value.__cause__ is not None:  # job 3 ran in a worker, not in this process
+    with pytest.raises(FloatingPointError, match=r"^job \d+ diverged$") as raised:
+        grid.run_grid(job, range(50))
+    if POOLED:
         assert "in a grid worker" in str(raised.value.__cause__)
     assert multiprocessing.active_children() == []
     assert threading.active_count() == 1
+
+
+@needs_pool
+def test_job_raising_in_a_worker_stops_the_caller():
+    """A worker's first job raises; the caller, whose jobs would take it 5 s
+    alone, stops after the job it is on instead of finishing the grid."""
+    caller = os.getpid()
+
+    def job(x):
+        if os.getpid() != caller:
+            raise FloatingPointError("diverged in a worker")
+        time.sleep(0.1)
+        return x
+
+    start = time.perf_counter()
+    with pytest.raises(FloatingPointError, match="^diverged in a worker$") as raised:
+        grid.run_grid(job, range(50))
+    assert time.perf_counter() - start < 2.0
+    assert "in a grid worker" in str(raised.value.__cause__)
+    assert multiprocessing.active_children() == []
 
 
 def test_job_raising_in_the_caller_stops_every_worker():

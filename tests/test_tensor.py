@@ -149,9 +149,9 @@ class TestBackward:
         assert np.array_equal(x.grad, [2.0, 4.0])
 
     def test_graph_freed_by_reference_counting(self):
-        """With the cyclic collector off, an interior node of a training
-        step's graph is gone once backward() has returned and the loss is
-        dropped."""
+        """With the cyclic collector off, the array an interior node of a
+        training step's graph holds is gone once backward() has returned and
+        the loss is dropped."""
         from xgblora.lora import init_adapter_set
         from xgblora.models import batch_loss, build_transformer, list_adaptable_weights
         from xgblora.tasks import gen_sequence_dataset
@@ -162,7 +162,7 @@ class TestBackward:
         gc.disable()
         try:
             loss = batch_loss(model, data, adapters=adapters)
-            interior = weakref.ref(loss._prev[0])
+            interior = weakref.ref(loss._prev[0].data)
             assert interior() is not None
             loss.backward()
             del loss
