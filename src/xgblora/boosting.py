@@ -202,12 +202,16 @@ def train_booster(
     a booster's steps draw at least as many rows as the dataset holds
     (steps_per_booster * batch_size >= n), the call computes the
     activations entering layer lo for the whole dataset once
-    (`layer_input`, in chunks of batch_size examples, so that each row
-    ends on the bits the step's own forward would give it), and each step
-    gathers its rows and runs the forward from layer lo (`layer_loss`).
-    Whether a call does so depends on the
-    config alone, and the cache covers every row, not only the drawn ones,
-    so a resumed booster computes what the uninterrupted one does.
+    (`layer_input`, in chunks of batch_size examples, so that every
+    product keeps the shape it has in a step), and each step gathers its
+    rows and runs the forward from layer lo (`layer_loss`). Whether a call
+    does so depends on the config alone, and the cache covers every row,
+    not only the drawn ones, so a resumed booster computes what the
+    uninterrupted one does: a run's bits are a function of its config,
+    the cache rule included. They equal the uncached loop's on the shapes
+    `TestFrozenPrefix` pins, not on every shape, since a gemm row's last
+    bits can depend on its position in the product (README names a
+    reproducer).
     """
     adapters.check_live()
     if trace is None:

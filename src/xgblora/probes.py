@@ -24,9 +24,11 @@ from xgblora.models import (
     Dataset,
     ModelSpec,
     WeightId,
-    accuracy,
+    forward,
     list_adaptable_weights,
+    logits_accuracy,
     loss_eval,
+    task_loss,
 )
 from xgblora.tasks import TeacherTask, gen_teacher_dataset, quadratic_optimum
 from xgblora.tensor import Rng, frobenius_norm
@@ -613,7 +615,8 @@ def kappa_sweep(
                               sample_layers=sample_layers or model.layers, policy="all", eta=eta,
                               batch_size=batch_size, seed=seed * 60013 + kappa)
             xgblora_fit(model, data, cfg)
-            return loss_eval(model, data), accuracy(model, data)
+            logits = forward(model, data)
+            return task_loss(model, logits, data.targets).item(), logits_accuracy(logits, data.targets)
 
         chosen, accs = _pick_step_size(eta_grid, seeds, fit, arm=f"kappa={kappa}")
         point.values = accs

@@ -11,6 +11,12 @@ one thread and on two; other BLAS builds and thread counts are not checked.
 `backward()` releases the graph it walks, so a training step's arrays are
 freed by reference counting as soon as it returns. Importing this module
 therefore tunes glibc's allocator to keep the freed heap (`_keep_heap`).
+
+Kernel rules (gelu, softmax, layer_norm): one pass per term, in place
+where it can be, by the floating-point operations of the expression form in
+their order. A row max is exact in any order, and numpy sums fewer than 8
+terms from 0.0 left to right (more pairwise), so a short last axis takes
+both as chains of column ops (`_row_reduce`); `test_tensor` pins the bytes.
 """
 
 from __future__ import annotations
@@ -345,29 +351,64 @@ def gelu(t: Tensor) -> Tensor:
     """Tanh-approximation gelu: 0.5·x·(1 + tanh(c·(x + 0.044715·x³)))."""
     x = t.data
     # products, not `**`: numpy's float64 power of 3 calls libm pow()
-    inner = _GELU_C * (x + 0.044715 * x * x * x)
-    th = np.tanh(inner)
-    out_data = 0.5 * x * (1.0 + th)
+    th = x * 0.044715
+    th *= x
+    th *= x
+    th += x
+    th *= _GELU_C
+    np.tanh(th, out=th)
+    opt = th + 1.0  # 1 + tanh, kept for the backward
+    out_data = x * 0.5
+    out_data *= opt
 
     def _bw():
-        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
-        dx = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * d_inner
-        t._accumulate(out.grad * dx)
+        # c·(1 + 3·0.044715·x·x)
+        d_inner = x * (3 * 0.044715)
+        d_inner *= x
+        d_inner += 1.0
+        d_inner *= _GELU_C
+        # 0.5·(1 + tanh) + 0.5·x·(1 − tanh²)·d_inner
+        dx = th * th
+        np.subtract(1.0, dx, out=dx)
+        dx *= 0.5 * x
+        dx *= d_inner
+        dx += np.multiply(opt, 0.5, out=d_inner)
+        dx *= out.grad
+        t._accumulate(dx)
 
     out = Tensor._from_op(out_data, (t,), _bw)
     return out
 
 
+_SHORT_ROW = 8  # numpy sums shorter rows from 0.0 left to right
+
+
+def _row_reduce(ufunc, a, start):
+    """`ufunc.reduce(a, axis=-1, keepdims=True)`, bit for bit, for np.add
+    from 0.0 or np.maximum from -inf. A short row takes a chain of column
+    ops from `start`: numpy's own order for a sum, and a max is exact in
+    any order."""
+    n = a.shape[-1]
+    if not 0 < n < _SHORT_ROW:
+        return ufunc.reduce(a, axis=-1, keepdims=True)
+    out = ufunc(a[..., :1], start)
+    for j in range(1, n):
+        ufunc(out, a[..., j:j + 1], out=out)
+    return out
+
+
 def softmax(t: Tensor) -> Tensor:
     """Row softmax over the last axis, stabilized by max subtraction."""
-    z = t.data - t.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    out_data = e / e.sum(axis=-1, keepdims=True)
+    e = np.subtract(t.data, _row_reduce(np.maximum, t.data, -math.inf))
+    np.exp(e, out=e)
+    out_data = np.divide(e, _row_reduce(np.add, e, 0.0), out=e)
 
     def _bw():
         g = out.grad
-        y = out_data
-        t._accumulate(y * (g - (g * y).sum(axis=-1, keepdims=True)))
+        d = g * out_data
+        d = np.subtract(g, _row_reduce(np.add, d, 0.0), out=d)
+        d *= out_data
+        t._accumulate(d)
 
     out = Tensor._from_op(out_data, (t,), _bw)
     return out
@@ -379,16 +420,23 @@ LAYER_NORM_EPS = 1e-5
 def layer_norm(t: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance (no affine part)."""
     x = t.data
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    y = (x - mu) * inv
+    n = x.shape[-1]
+    # what x.mean and x.var compute, each term once
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    inv = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
+    inv += LAYER_NORM_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    y = np.multiply(xc, inv, out=xc)
 
     def _bw():
         g = out.grad
-        gm = g.mean(axis=-1, keepdims=True)
-        gym = (g * y).mean(axis=-1, keepdims=True)
-        t._accumulate(inv * (g - gm - y * gym))
+        gy = g * y
+        gym = np.add.reduce(gy, axis=-1, keepdims=True) / n
+        d = g - np.add.reduce(g, axis=-1, keepdims=True) / n
+        d -= np.multiply(y, gym, out=gy)
+        d *= inv
+        t._accumulate(d)
 
     out = Tensor._from_op(y, (t,), _bw)
     return out

@@ -280,6 +280,65 @@ class TestKernelGradients:
         check_grad(loss, [w1, w2, w3])
 
 
+def _ref_gelu(x, g):
+    """gelu's output and input gradient in expression form."""
+    c = math.sqrt(2.0 / math.pi)
+    th = np.tanh(c * (x + 0.044715 * x * x * x))
+    d_inner = c * (1.0 + 3 * 0.044715 * x * x)
+    return 0.5 * x * (1.0 + th), g * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * d_inner)
+
+
+def _ref_softmax(x, g):
+    """softmax through numpy's max and sum reductions."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    return y, y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
+def _ref_layer_norm(x, g):
+    """layer_norm through np.mean and np.var."""
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + tt.LAYER_NORM_EPS)
+    y = (x - x.mean(axis=-1, keepdims=True)) * inv
+    return y, inv * (g - g.mean(axis=-1, keepdims=True) - y * (g * y).mean(axis=-1, keepdims=True))
+
+
+def _kernel_inputs(n):
+    """(x, g) pairs whose last axis has n entries: row magnitudes from 1e-8
+    to 1e8 with a row of negative zeros in g, a transposed input whose last
+    axis is strided, and rows holding the causal mask."""
+    rng = np.random.default_rng(n)
+    mags = rng.permutation(10.0 ** np.linspace(-8.0, 8.0, 24)).reshape(4, 6, 1)
+    g = rng.standard_normal((4, 6, n)) * mags[::-1]
+    g[1, 2] = -0.0
+    yield rng.standard_normal((4, 6, n)) * mags, g
+    yield (np.swapaxes(rng.standard_normal((n, 6, 4)), 0, -1),
+           np.swapaxes(rng.standard_normal((n, 6, 4)), 0, -1))
+    causal = np.triu(np.full((n, n), -1e30), 1)
+    yield rng.standard_normal((2, n, n)) + causal, rng.standard_normal((2, n, n))
+
+
+class TestKernelBits:
+    """gelu, softmax and layer_norm build each term once, in place, and
+    take short-row reductions as column chains; their output and input
+    gradient keep the bytes of the expression forms above. The softmax
+    sums pin that numpy adds fewer than 8 terms from 0.0 left to right on
+    the recorded build."""
+
+    @pytest.mark.parametrize("n", [*range(1, 10), 16, 32, 64])
+    @pytest.mark.parametrize("kernel, ref", [
+        (tt.gelu, _ref_gelu), (tt.softmax, _ref_softmax), (tt.layer_norm, _ref_layer_norm),
+    ], ids=["gelu", "softmax", "layer_norm"])
+    def test_bytes_match_the_reference(self, kernel, ref, n):
+        for x, g in _kernel_inputs(n):
+            a = Tensor(x, requires_grad=True)
+            y = kernel(a)
+            tt.tsum(tt.mul(y, Tensor(g))).backward()
+            assert y.grad.tobytes() == g.tobytes()
+            ref_y, ref_dx = ref(x, y.grad)
+            assert y.data.tobytes() == ref_y.tobytes()
+            assert a.grad.tobytes() == ref_dx.tobytes()
+
+
 class TestFiniteDiff:
     def test_quadratic_scalar(self):
         theta = Tensor([3.0])
