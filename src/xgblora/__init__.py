@@ -3,10 +3,8 @@
 from xgblora.boosting import (
     BoostConfig,
     BoosterTrace,
-    ClassicGbModel,
     CostModel,
     TrainConfig,
-    classic_gb_fit,
     cost_model_estimate,
     full_finetune,
     select_layers,
@@ -41,7 +39,6 @@ __all__ = [
     "AdapterSet",
     "BoostConfig",
     "BoosterTrace",
-    "ClassicGbModel",
     "CostModel",
     "Dataset",
     "LoraPair",
@@ -55,7 +52,6 @@ __all__ = [
     "accuracy",
     "build_mlp",
     "build_transformer",
-    "classic_gb_fit",
     "cost_model_estimate",
     "finite_diff_gradient",
     "forward",

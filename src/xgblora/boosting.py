@@ -11,8 +11,8 @@ checks; `BoostConfig` adds the schedule rule, and the shell's `RunConfig`
 the task, model and plumbing fields. `BoostRun` holds a run's state
 (`start`, `resume`, `save`), and `boost_step` is the one function that
 advances it, to a given absolute step or to the end; `xgblora_fit` runs a
-fresh run from start to end. Full fine-tuning, a classic residual-fitting
-gradient-boosting reference and the analytic cost model live here too.
+fresh run from start to end. Full fine-tuning and the analytic cost model
+live here too.
 """
 
 from __future__ import annotations
@@ -393,106 +393,6 @@ def full_finetune(model: ModelSpec, data: Dataset, cfg: TrainConfig) -> tuple[Mo
             p.requires_grad = False
             p.grad = None
     return model, losses
-
-
-# ----------------------------------------------------------------------
-# Classic gradient boosting on 1-D regression (reference implementation)
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class LinearLearner:
-    slope: float
-    intercept: float
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.slope * x + self.intercept
-
-
-@dataclass
-class StumpLearner:
-    threshold: float
-    left: float
-    right: float
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.where(x <= self.threshold, self.left, self.right)
-
-
-@dataclass
-class ClassicGbModel:
-    learners: list
-    rates: list[float]
-    mse_history: list[float]
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        out = np.zeros_like(x)
-        for alpha, f in zip(self.rates, self.learners):
-            out += alpha * f(x)
-        return out
-
-
-def _fit_linear(x, resid) -> LinearLearner:
-    xm, rm = x.mean(), resid.mean()
-    var = ((x - xm) ** 2).sum()
-    slope = 0.0 if var == 0 else float(((x - xm) * (resid - rm)).sum() / var)
-    return LinearLearner(slope=slope, intercept=float(rm - slope * xm))
-
-
-def _fit_stump(x, resid) -> StumpLearner:
-    order = np.argsort(x, kind="stable")
-    xs, rs = x[order], resid[order]
-    csum = np.cumsum(rs)
-    csq = np.cumsum(rs * rs)
-    total, total_sq = csum[-1], csq[-1]
-    n = len(xs)
-    best = (float(xs[0]) - 1.0, float(rs.mean()), float(rs.mean()))
-    best_sse = float(total_sq - total * total / n)
-    for i in range(n - 1):
-        if xs[i] == xs[i + 1]:
-            continue
-        nl = i + 1
-        nr = n - nl
-        sl, sr = csum[i], total - csum[i]
-        sse = (csq[i] - sl * sl / nl) + ((total_sq - csq[i]) - sr * sr / nr)
-        if sse < best_sse - 1e-15:
-            best_sse = sse
-            best = (float((xs[i] + xs[i + 1]) / 2), float(sl / nl), float(sr / nr))
-    return StumpLearner(threshold=best[0], left=best[1], right=best[2])
-
-
-def classic_gb_fit(x, y, rounds: int, weak: str = "linear") -> ClassicGbModel:
-    """Residual-fitting gradient boosting with least-squares weak learners.
-
-    Each round fits a learner to the current residuals y - F(x) and adds it
-    with a line-searched rate; with least-squares learners and line search,
-    training MSE is non-increasing by round.
-    """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if x.size == 0:
-        raise ConfigError("classic_gb_fit needs non-empty data")
-    if x.shape != y.shape:
-        raise ConfigError(f"x and y shapes disagree: {x.shape} vs {y.shape}")
-    if rounds < 1:
-        raise ConfigError(f"rounds must be >= 1, got {rounds}")
-    if weak not in ("linear", "stump"):
-        raise ConfigError(f"weak learner must be linear or stump, got {weak!r}")
-
-    pred = np.zeros_like(y)
-    learners, rates, history = [], [], []
-    for _ in range(rounds):
-        resid = y - pred
-        f = _fit_linear(x, resid) if weak == "linear" else _fit_stump(x, resid)
-        fx = f(x)
-        denom = float((fx * fx).sum())
-        alpha = 0.0 if denom == 0.0 else float((resid * fx).sum() / denom)
-        pred = pred + alpha * fx
-        learners.append(f)
-        rates.append(alpha)
-        history.append(float(((y - pred) ** 2).mean()))
-    return ClassicGbModel(learners=learners, rates=rates, mse_history=history)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Command-line shell: train / gb-demo / probe / sweep / cost-model / report.
+"""Command-line shell: train / probe / sweep / cost-model / report.
 
 `probe` and `sweep` are the one way to produce the committed experiments:
 `probe all` runs the five bound probes (runs/probes), `sweep rank-iter` the
@@ -31,7 +31,6 @@ from xgblora.boosting import (
     TrainConfig,
     boost_step,
     check_resume,
-    classic_gb_fit,
     cost_model_estimate,
     full_finetune,
     lora_config,
@@ -181,20 +180,6 @@ def _discard_if_diverged(out_dir, fresh: bool):
             for d in made:
                 os.rmdir(d)
         raise
-
-
-def cmd_gb_demo(args) -> int:
-    rng = Rng(args.seed)
-    x = rng.uniform((args.n,)) * 4.0 - 2.0
-    y = np.sin(2.0 * x) + args.noise * rng.gaussian((args.n,))
-    gb = classic_gb_fit(x, y, rounds=args.rounds, weak=args.weak)
-    print(f"classic gradient boosting: {args.rounds} rounds of {args.weak} learners on n={args.n}")
-    for i, m in enumerate(gb.mse_history, start=1):
-        if i <= 5 or i % 10 == 0 or i == args.rounds:
-            print(f"round {i:3d}  mse {m:.6g}")
-    ratio = gb.mse_history[-1] / gb.mse_history[0] if gb.mse_history[0] else 0.0
-    print(f"final/initial mse ratio: {ratio:.4g}")
-    return EXIT_OK
 
 
 def _probe_outputs(report, out_dir, svg: Optional[str] = None) -> int:
@@ -384,14 +369,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--stop-after-step", type=int)
     p.add_argument("--resume", help="checkpoint to resume from")
     p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("gb-demo", help="classic residual-fitting gradient boosting on 1-D data")
-    p.add_argument("--rounds", type=int, default=50)
-    p.add_argument("--weak", choices=("linear", "stump"), default="stump")
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_gb_demo)
 
     p = sub.add_parser("probe", help="run one bound probe, or all five, and write its report")
     p.add_argument("which", choices=(*PROBES, "all"))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from xgblora.models import ModelSpec, WeightId, list_adaptable_weights, sort_key
+from xgblora.models import ModelSpec, WeightId, sort_key
 from xgblora.tensor import Rng, ShapeError, Tensor
 
 
@@ -110,32 +110,19 @@ def merge_adapters(model: ModelSpec, adapters: AdapterSet) -> ModelSpec:
     return model
 
 
-def param_count(model: ModelSpec, adapters=None, policy=None, r=None, layers=None) -> dict:
+def param_count(model: ModelSpec, adapters=None) -> dict:
     """Trainable/total/permille accounting.
 
-    Pass an AdapterSet to count its live pairs, or (policy, r[, layers]) to
-    count a hypothetical configuration over the adaptable weights. With
-    neither, every weight is trainable (full fine-tuning: exactly 1000
-    permille).
+    Pass an AdapterSet to count its live pairs. Without one, every weight
+    is trainable (full fine-tuning: exactly 1000 permille).
     """
     total = model.total_params()
-    if adapters is not None:
+    if adapters is None:
+        trainable = total
+    else:
         trainable = sum(
             pair.a.data.size + pair.b.data.size for pair in adapters.pairs.values()
         )
-    elif policy is not None:
-        if r is None or r < 1:
-            raise ValueError(f"rank must be >= 1, got {r}")
-        targets = list_adaptable_weights(model, policy=policy)
-        if layers is not None:
-            layers = set(layers)
-            targets = [wid for wid in targets if wid.layer in layers]
-        trainable = sum(
-            (model.weights[wid].data.shape[0] + model.weights[wid].data.shape[1]) * r
-            for wid in targets
-        )
-    else:
-        trainable = total
     return {
         "trainable": trainable,
         "total": total,

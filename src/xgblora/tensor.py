@@ -535,8 +535,8 @@ def sgd_step(params, eta: float):
     consumed (zeroed). A param with no grad is left untouched (its
     gradient is zero).
     """
-    if eta < 0:
-        raise ValueError(f"step size must be >= 0, got {eta}")
+    if not (math.isfinite(eta) and eta >= 0):
+        raise ValueError(f"step size must be finite and >= 0, got {eta}")
     for p in params:
         g = p.grad
         if g is None:
@@ -553,8 +553,8 @@ def finite_diff_gradient(f, theta: Tensor, eps: float = 1e-5) -> np.ndarray:
     `f` must be a deterministic closure over `theta` returning a float.
     theta.data is perturbed in place and restored exactly.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
     flat = theta.data.reshape(-1)
     grad = np.zeros_like(flat)
     for i in range(flat.size):
@@ -616,13 +616,8 @@ class Rng:
     def next_u64(self) -> int:
         return int(self._raw(1)[0])
 
-    def uniform(self, shape) -> np.ndarray:
-        """iid uniforms in [0, 1) with 53-bit resolution."""
-        u = (self._raw(math.prod(shape)) >> _S11).astype(np.float64) * 2.0**-53
-        return u.reshape(shape)
-
     def gaussian(self, shape) -> np.ndarray:
-        """iid standard normals via Box-Muller on the uniform stream.
+        """iid standard normals via Box-Muller on the raw stream.
 
         Consumes 2·ceil(n/2) raw draws for n samples.
         """

@@ -16,7 +16,6 @@ from xgblora.boosting import (
     ConfigError,
     CostModel,
     TrainConfig,
-    classic_gb_fit,
     cost_model_estimate,
     full_finetune,
     lora_config,
@@ -479,49 +478,6 @@ class TestFullFinetune:
         model, data = quadratic_setup()
         full_finetune(model, data, TrainConfig(total_steps=2, eta=0.01, seed=1))
         assert all(not w.requires_grad for w in model.weights.values())
-
-
-class TestClassicGb:
-    def test_single_linear_learner_fits_linear_data(self):
-        x = np.linspace(-2, 2, 40)
-        y = 3.0 * x - 1.0
-        gb = classic_gb_fit(x, y, rounds=1, weak="linear")
-        assert np.abs(gb.predict(x) - y).max() < 1e-10
-        assert gb.mse_history[-1] < 1e-20
-
-    def test_constant_target_one_round(self):
-        x = np.linspace(0, 1, 25)
-        y = np.full(25, 4.2)
-        gb = classic_gb_fit(x, y, rounds=3, weak="stump")
-        assert np.abs(gb.predict(x) - 4.2).max() < 1e-12
-        assert gb.mse_history[0] < 1e-24  # first learner already exact
-
-    def test_mse_non_increasing(self):
-        rng = Rng(31)
-        x = rng.uniform((200,)) * 4 - 2
-        y = np.sin(2 * x) + 0.1 * rng.gaussian((200,))
-        for weak in ("linear", "stump"):
-            gb = classic_gb_fit(x, y, rounds=50, weak=weak)
-            h = np.array(gb.mse_history)
-            assert np.all(np.diff(h) <= 1e-12)
-
-    def test_stumps_reach_low_error(self):
-        rng = Rng(8)
-        x = rng.uniform((300,)) * 4 - 2
-        y = np.sin(2 * x)
-        gb = classic_gb_fit(x, y, rounds=50, weak="stump")
-        assert gb.mse_history[-1] < 0.1 * gb.mse_history[0]
-
-    def test_empty_data_rejected(self):
-        with pytest.raises(ConfigError):
-            classic_gb_fit(np.array([]), np.array([]), rounds=1)
-
-    def test_prediction_is_rate_weighted_sum(self):
-        x = np.linspace(0, 1, 30)
-        y = x**2
-        gb = classic_gb_fit(x, y, rounds=5, weak="stump")
-        manual = sum(a * f(x) for a, f in zip(gb.rates, gb.learners))
-        assert np.allclose(gb.predict(x), manual)
 
 
 class TestCostModel:

@@ -359,9 +359,10 @@ class TestReporting:
 
 class TestCli:
     def test_unknown_subcommand_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 2
+        for cmd in ("frobnicate", "gb-demo"):
+            with pytest.raises(SystemExit) as exc:
+                main([cmd])
+            assert exc.value.code == 2, cmd
 
     def test_unknown_flag_exits_2(self):
         # float64 is the only precision, and parity-seq the only sequence task
@@ -385,11 +386,6 @@ class TestCli:
         main(["cost-model", "--preset", "xgblora-r1"])
         out = capsys.readouterr().out
         assert "1333.33" in out
-
-    def test_gb_demo_runs(self, capsys):
-        assert main(["gb-demo", "--rounds", "10", "--n", "50"]) == 0
-        out = capsys.readouterr().out
-        assert "round  10" in out
 
     def test_train_and_report_round_trip(self, tmp_path, capsys):
         out_dir = str(tmp_path / "run")
@@ -569,7 +565,8 @@ class TestCli:
         ])
         rows = read_metrics_csv(os.path.join(out_dir, "metrics.csv"))
         model = build_mlp([8, 8], rng=Rng(0))
-        expected = param_count(model, policy="qv", r=1)["permille"]
+        adapters = init_adapter_set(model, mz.list_adaptable_weights(model, "qv"), 1, Rng(0))
+        expected = param_count(model, adapters)["permille"]
         assert float(rows[-1]["trainable_permille"]) == pytest.approx(expected)
         # --layers 2 of 4: a row counts the adapters live at it, not every adaptable layer
         out_dir = str(tmp_path / "parity")
@@ -579,7 +576,8 @@ class TestCli:
             "--policy", "all", "--layers", "2", "--eta", "1.0", "--out-dir", out_dir,
         ]) == 0
         model = load_checkpoint(os.path.join(out_dir, "checkpoint.xgbl")).model
-        every_layer = param_count(model, policy="all", r=1)["permille"]
+        adapters = init_adapter_set(model, mz.list_adaptable_weights(model, "all"), 1, Rng(0))
+        every_layer = param_count(model, adapters)["permille"]
         rows = read_metrics_csv(os.path.join(out_dir, "metrics.csv"))
         assert len(rows) == 2
         for row in rows:

@@ -19,6 +19,11 @@ def mlp(seed=5, dims=(6, 10, 4)):
     return build_mlp(list(dims), rng=Rng(seed))
 
 
+def count_adapted(m, targets, r):
+    """param_count of a fresh rank-r adapter set on `targets`."""
+    return param_count(m, init_adapter_set(m, targets, r, Rng(0)))
+
+
 class TestInit:
     def test_fresh_pair_is_exact_zero_delta(self):
         m = mlp()
@@ -161,14 +166,15 @@ class TestMerge:
 class TestParamCount:
     def test_known_768_case(self):
         m = build_mlp([768, 768], rng=Rng(1))
-        got = param_count(m, policy="qv", r=8)
+        got = count_adapted(m, mz.list_adaptable_weights(m, "qv"), 8)
         assert got["trainable"] == 12_288
         assert got["total"] == 589_824
 
     def test_linear_in_rank(self):
         m = build_transformer(vocab=13, d_model=16, n_layers=4, n_heads=2, d_ff=32, rng=Rng(1))
-        r1 = param_count(m, policy="qv", r=1)["trainable"]
-        r8 = param_count(m, policy="qv", r=8)["trainable"]
+        targets = mz.list_adaptable_weights(m, "qv")
+        r1 = count_adapted(m, targets, 1)["trainable"]
+        r8 = count_adapted(m, targets, 8)["trainable"]
         assert r8 == 8 * r1
 
     def test_full_ft_is_exactly_1000_permille(self):
@@ -178,8 +184,9 @@ class TestParamCount:
     def test_rank_and_layer_subsetting_ratio(self):
         # rank 8 on all 12 blocks vs rank 1 on 8 blocks: factor r*(L/L_s) = 12
         m = build_transformer(vocab=29, d_model=24, n_layers=12, n_heads=4, d_ff=48, rng=Rng(1))
-        lora = param_count(m, policy="qv", r=8)
-        xgb = param_count(m, policy="qv", r=1, layers=range(1, 9))
+        targets = mz.list_adaptable_weights(m, "qv")
+        lora = count_adapted(m, targets, 8)
+        xgb = count_adapted(m, [wid for wid in targets if wid.layer in range(1, 9)], 1)
         assert lora["permille"] / xgb["permille"] == pytest.approx(12.0)
         assert xgb["permille"] < lora["permille"]
 
@@ -196,7 +203,7 @@ class TestParamCount:
             )
             policy = "all" if seed % 2 else "qv"
             r = 1 + seed % 4
-            got = param_count(m, policy=policy, r=r)
+            got = count_adapted(m, mz.list_adaptable_weights(m, policy), r)
             # brute force: walk the weight map independently
             expected_total = 0
             expected_trainable = 0

@@ -6,7 +6,7 @@ that adds an option edits LIMIT and shows up in review."""
 import ast
 import pathlib
 
-LIMIT = 120
+LIMIT = 116
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "xgblora"
 
 

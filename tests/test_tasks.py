@@ -85,7 +85,7 @@ class TestParityCalibration:
         train = gen_sequence_dataset("parity", seq_len=5, n=512, seed=0)
         model = build_transformer(vocab=2, d_model=32, n_layers=2, n_heads=4,
                                   d_ff=64, rng=Rng(1), max_seq=5)
-        full_finetune(model, train, TrainConfig(total_steps=2000, eta=0.5, batch_size=64, seed=3))
+        full_finetune(model, train, TrainConfig(total_steps=2000, eta=0.25, batch_size=64, seed=3))
         assert accuracy(model, train) > 0.95
 
 
