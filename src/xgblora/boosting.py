@@ -227,14 +227,14 @@ def train_booster(
     prefix = None
     if lo > 1 and kappa * cfg.batch_size >= data.n and todo:
         prefix = layer_input(model, data, lo, cfg.batch_size)
+    stats = [(pair, trace.pair_stats[str(wid)]) for wid, pair in adapters.pairs.items()]
     for idx in draws:
         if prefix is None:
             loss = batch_loss(model, data.batch(idx), adapters=adapters, lam=cfg.lam)
         else:
             loss = layer_loss(model, prefix[idx], data.targets[idx], adapters, cfg.lam, lo)
         loss.backward()
-        for wid, pair in adapters.pairs.items():
-            ps = trace.pair_stats[str(wid)]
+        for pair, ps in stats:
             ga = frobenius_norm(pair.a.grad) if pair.a.grad is not None else 0.0
             gb = frobenius_norm(pair.b.grad) if pair.b.grad is not None else 0.0
             ps.grad_max = max(ps.grad_max, ga, gb)
@@ -248,8 +248,7 @@ def train_booster(
         trace.step_losses.append(value)
 
     if trace.steps >= kappa:
-        for wid, pair in adapters.pairs.items():
-            ps = trace.pair_stats[str(wid)]
+        for pair, ps in stats:
             ps.a_norm = frobenius_norm(pair.a)
             ps.b_norm = frobenius_norm(pair.b)
             ps.a_update_norm = frobenius_norm(pair.a.data - pair.a_init)

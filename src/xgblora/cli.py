@@ -376,7 +376,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=5, help="replicates per grid point")
     p.add_argument("--runs", type=int, default=54,
                    help="lemma2 boosters, a multiple of 9: split over its 9 rank x kappa configs")
-    p.add_argument("--out-dir", default="runs/probe")
+    p.add_argument("--out-dir", default="runs/probes")
     p.set_defaults(fn=cmd_probe)
 
     p = sub.add_parser("sweep", help="rank-vs-iterations or steps-per-booster sweep at a fixed step budget")

@@ -30,6 +30,7 @@ from xgblora.tensor import (
     embedding,
     gelu,
     layer_norm,
+    linear,
     matmul,
     mse,
     mul,
@@ -227,23 +228,21 @@ def _resolve_weights(model: ModelSpec, adapters):
     path. Base weights are never mutated; an adapter whose A (d, r) or
     B (r, k) does not fit its (d, k) target raises ShapeError rather than
     broadcasting."""
-    eff = {}
-    pairs = {}
-    if adapters is not None:
-        adapters.check_live()
-        pairs = adapters.pairs
-    for wid, w in model.weights.items():
-        pair = pairs.get(wid)
-        if pair is None:
-            eff[wid] = w
-        else:
-            d, k = w.data.shape
-            if pair.a.data.shape[0] != d or pair.b.data.shape != (pair.a.data.shape[1], k):
-                raise ShapeError(
-                    f"adapter for {wid} has shapes A{pair.a.data.shape} B{pair.b.data.shape}, "
-                    f"target is {w.data.shape}"
-                )
-            eff[wid] = w + matmul(pair.a, pair.b)
+    eff = dict(model.weights)
+    if adapters is None:
+        return eff
+    adapters.check_live()
+    for wid, pair in adapters.pairs.items():
+        w = eff.get(wid)
+        if w is None:
+            continue
+        d, k = w.data.shape
+        if pair.a.data.shape[0] != d or pair.b.data.shape != (pair.a.data.shape[1], k):
+            raise ShapeError(
+                f"adapter for {wid} has shapes A{pair.a.data.shape} B{pair.b.data.shape}, "
+                f"target is {w.data.shape}"
+            )
+        eff[wid] = w + matmul(pair.a, pair.b)
     return eff
 
 
@@ -267,7 +266,7 @@ def _stem(model: ModelSpec, inputs, eff) -> Tensor:
 
 def _mlp_block(model: ModelSpec, x: Tensor, l: int, eff) -> Tensor:
     """Dense layer l; relu on every layer but the first and the last."""
-    h = matmul(x, transpose(eff[WeightId(l, Role.MLP_DENSE)]))
+    h = linear(x, eff[WeightId(l, Role.MLP_DENSE)])
     return relu(h) if 1 < l < model.layers else h
 
 
@@ -282,9 +281,9 @@ def _transformer_block(model: ModelSpec, x: Tensor, l: int, eff) -> Tensor:
     n_heads = model.n_heads
     d_head = d // n_heads
     a = layer_norm(x)
-    q = matmul(a, transpose(eff[WeightId(l, Role.ATTN_Q)]))
-    k = matmul(a, transpose(eff[WeightId(l, Role.ATTN_K)]))
-    v = matmul(a, transpose(eff[WeightId(l, Role.ATTN_V)]))
+    q = linear(a, eff[WeightId(l, Role.ATTN_Q)])
+    k = linear(a, eff[WeightId(l, Role.ATTN_K)])
+    v = linear(a, eff[WeightId(l, Role.ATTN_V)])
     # (b, seq, d) -> (b, heads, seq, d_head)
     q = transpose(reshape(q, (b, seq, n_heads, d_head)), 1, 2)
     k = transpose(reshape(k, (b, seq, n_heads, d_head)), 1, 2)
@@ -292,11 +291,11 @@ def _transformer_block(model: ModelSpec, x: Tensor, l: int, eff) -> Tensor:
     scores = matmul(q, transpose(k)) * (1.0 / math.sqrt(d_head))
     attn = softmax(scores + _causal_mask(seq))
     ctx = reshape(transpose(matmul(attn, v), 1, 2), (b, seq, d))
-    x = x + matmul(ctx, transpose(eff[WeightId(l, Role.ATTN_O)]))
+    x = x + linear(ctx, eff[WeightId(l, Role.ATTN_O)])
 
     a2 = layer_norm(x)
-    h = gelu(matmul(a2, transpose(eff[WeightId(l, Role.FFN_UP)])))
-    return x + matmul(h, transpose(eff[WeightId(l, Role.FFN_DOWN)]))
+    h = gelu(linear(a2, eff[WeightId(l, Role.FFN_UP)]))
+    return x + linear(h, eff[WeightId(l, Role.FFN_DOWN)])
 
 
 def _blocks(model: ModelSpec, x: Tensor, eff, start: int, stop: int) -> Tensor:
@@ -314,7 +313,7 @@ def _forward(model: ModelSpec, x: Tensor, eff, start: int) -> Tensor:
     x = _blocks(model, x, eff, start, model.layers + 1)
     if model.kind == "mlp":
         return x
-    return matmul(layer_norm(x), transpose(eff[WeightId(model.layers, Role.OUTPUT)]))
+    return linear(layer_norm(x), eff[WeightId(model.layers, Role.OUTPUT)])
 
 
 def forward(model: ModelSpec, data, adapters=None) -> Tensor:
@@ -381,7 +380,7 @@ def layer_loss(model: ModelSpec, x: np.ndarray, targets, adapters, lam: float, l
     # a leaf made like an op's output, with no finiteness check: a
     # non-finite activation ends in the step's divergence error, as it
     # does when the forward starts at layer 1
-    logits = _forward(model, Tensor._from_op(x, (), None), eff, layer)
+    logits = _forward(model, Tensor._from_op(x, (), None, None), eff, layer)
     return _objective(model, logits, targets, adapters, lam)
 
 

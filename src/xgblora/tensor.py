@@ -1,16 +1,21 @@
 """Dense tensors with reverse-mode autodiff, a splitmix64 PRNG, and a
 finite-difference gradient oracle.
 
-The op set is deliberately small: matmul, transpose, add/sub/mul, scalar
-ops, relu, gelu (tanh form), row softmax, layer norm, embedding gather,
-reshape, sum, cross-entropy-with-logits, mse. Tensor data is always
-float64, the one precision; a fixed seed gives bit-identical runs. A test
-pins that a short parity fit ends on the same weight bits with OpenBLAS on
-one thread and on two; other BLAS builds and thread counts are not checked.
+The op set is deliberately small: linear (x @ wᵀ, every activation × weight
+product), matmul, transpose, add/sub/mul, scalar ops, relu, gelu (tanh
+form), row softmax, layer norm, embedding gather, reshape, sum,
+cross-entropy-with-logits, mse. Tensor data is always float64, the one
+precision; a fixed seed gives bit-identical runs. A test pins that a short
+parity fit ends on the same weight bits with OpenBLAS on one thread and on
+two; other BLAS builds and thread counts are not checked.
 
-`backward()` releases the graph it walks, so a training step's arrays are
-freed by reference counting as soon as it returns. Importing this module
-therefore tunes glibc's allocator to keep the freed heap (`_keep_heap`).
+An op's node records a module-level backward function, its input nodes
+and the arrays that function needs, not a closure, so a graph holds no
+reference cycle and is freed by reference counting, backwarded or not;
+`backward()` releases it as it walks, so a training step's arrays are freed
+as soon as it returns. Importing this module therefore tunes glibc's
+allocator to keep the freed heap (`_keep_heap`). A gradient an op has just
+computed becomes its input's `.grad` without a copy (`_take`).
 
 Kernel rules (gelu, softmax, layer_norm): one pass per term, in place
 where it can be, by the floating-point operations of the expression form in
@@ -27,12 +32,10 @@ import math
 import numpy as np
 
 MASK64 = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
+_GAMMA, _M1, _M2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 # the generator's uint64 constants, built once: a numpy scalar costs about
 # as much to make as a small draw costs to compute
-_GAMMA64 = np.uint64(_GAMMA)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_GAMMA64, _MIX1, _MIX2 = np.uint64(_GAMMA), np.uint64(_M1), np.uint64(_M2)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _S11, _S27, _S30, _S31, _S32 = (np.uint64(s) for s in (11, 27, 30, 31, 32))
 
@@ -83,7 +86,7 @@ HEAP_KEPT = _keep_heap()
 
 def _as_array(data):
     arr = np.asarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("tensor data must be finite (got NaN/Inf)")
     return arr
 
@@ -91,13 +94,15 @@ def _as_array(data):
 class Tensor:
     """N-d float64 array plus an optional gradient slot.
 
-    Ops record a backward closure and parent links; `backward()` walks the
-    implicit graph in reverse topological order exactly once per node, and
-    drops each closure and link once it has run (`_prev` None marks a
-    consumed node; a leaf's is the empty tuple).
+    An op's output node keeps its input nodes (`_prev`), the op's
+    module-level backward function and what that function needs from the
+    forward (`_saved`); `backward()` walks the implicit graph in reverse
+    topological order exactly once per node, calling `node._backward(node)`,
+    and drops each node's function, links and saved arrays once it has run
+    (`_prev` None marks a consumed node; a leaf's is the empty tuple).
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_backward", "_prev")
+    __slots__ = ("data", "requires_grad", "grad", "_backward", "_prev", "_saved")
 
     def __init__(self, data, requires_grad=False):
         self.data = _as_array(data)
@@ -105,19 +110,20 @@ class Tensor:
         self.grad = None
         self._backward = None
         self._prev = ()
+        self._saved = None
 
     @classmethod
-    def _from_op(cls, data, prev, backward):
+    def _from_op(cls, data, prev, backward, saved):
+        """The node an op computed from the tuple of nodes `prev`. It keeps
+        `prev`, `backward` and `saved` only when one of them needs a
+        gradient; a node with no graph holds no other node."""
         out = cls.__new__(cls)
-        out.data = data
-        out.requires_grad = any(p.requires_grad for p in prev)
-        out.grad = None
-        if out.requires_grad:
-            out._prev = tuple(prev)
-            out._backward = backward
-        else:
-            out._prev = ()
-            out._backward = None
+        out.data, out.grad = data, None
+        for p in prev:
+            if p.requires_grad:
+                out.requires_grad, out._prev, out._backward, out._saved = True, prev, backward, saved
+                return out
+        out.requires_grad, out._prev, out._backward, out._saved = False, (), None, None
         return out
 
     @property
@@ -133,8 +139,8 @@ class Tensor:
         """Add `g` into `.grad`. The first touch copies `g` into a fresh
         array laid out like `.data` (`empty_like` keeps the parameter's
         memory order), so `.grad` never aliases a view or another node's
-        gradient, and a weight used through `transpose(W)` gets a
-        C-contiguous gradient like W itself: the order BLAS sums in later
+        gradient, and a weight gets a C-contiguous gradient like W itself,
+        also from `linear` or `transpose(W)`: the order BLAS sums in later
         products of that gradient does not depend on how W was used."""
         if self.grad is None:
             self.grad = np.empty_like(self.data)
@@ -142,20 +148,29 @@ class Tensor:
         else:
             self.grad += g
 
+    def _take(self, g):
+        """`_accumulate` for a gradient an op has just computed as a new
+        array that nothing else holds. On first touch, when `g` and `.data`
+        are both C-contiguous, `.grad` is `g` itself: the copy would have
+        had the same bytes and layout."""
+        if (self.grad is None and type(g) is np.ndarray and g.flags.c_contiguous
+                and self.data.flags.c_contiguous):
+            self.grad = g
+        else:
+            self._accumulate(g)
+
     def zero_grad(self):
         self.grad = None
 
     def backward(self):
         """Populate .grad on every requires_grad tensor reachable from here.
 
-        The loss must be scalar. Each node's closure runs exactly once, in
-        reverse topological order, so repeated subexpressions accumulate
-        correctly and replays are bit-identical. Once a node's closure has
-        run, the closure and the node's parent links are dropped: they are
-        what held the graph together (a closure reads its own node's
-        `.grad`, a reference cycle), so the graph's arrays are freed by
-        reference counting, not by the cyclic collector, as soon as nothing
-        else holds them. A graph is therefore walked once; a second
+        The loss must be scalar. Each node's backward function runs exactly
+        once, in reverse topological order, so repeated subexpressions
+        accumulate correctly and replays are bit-identical. Once it has run,
+        the node drops the function, its parent links and its saved arrays,
+        so the graph's arrays are freed by reference counting as soon as
+        nothing else holds them. A graph is therefore walked once; a second
         backward() through any of its nodes raises GraphError.
         """
         if self.data.size != 1:
@@ -163,34 +178,39 @@ class Tensor:
         if not self.requires_grad:
             raise GraphError("backward() on a tensor with no graph (requires_grad=False)")
 
+        # depth-first post-order; a node's second pop before it is finished
+        # is its marker, since a DAG pops a node's duplicates after that
         topo = []
         visited = set()
-        stack = [(self, False)]
+        finished = set()
+        stack = [self]
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in visited:
+            node = stack.pop()
+            key = id(node)
+            if key in visited:
+                if key not in finished:
+                    finished.add(key)
+                    topo.append(node)
                 continue
             if node._prev is None:
                 raise GraphError(
                     "backward() through a graph an earlier backward() consumed; "
                     "recompute the loss to take its gradient again"
                 )
-            visited.add(id(node))
-            stack.append((node, True))
+            visited.add(key)
+            stack.append(node)
             for p in node._prev:
                 if p.requires_grad and id(p) not in visited:
-                    stack.append((p, False))
+                    stack.append(p)
 
-        self.grad = np.ones_like(self.data)
+        self.grad = np.ones(self.data.shape)
         while topo:
             node = topo.pop()
             if node._backward is not None:
-                node._backward()
+                node._backward(node)
                 node._backward = None
                 node._prev = None
+                node._saved = None
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, requires_grad={self.requires_grad})"
@@ -230,118 +250,126 @@ def _coerce(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def linear(x: Tensor, w: Tensor) -> Tensor:
+    """x @ wᵀ for a 2-D weight w (n, k): every activation × weight product.
+
+    One gemm over the rows of `x` flattened to (-1, k), so the weight
+    gradient is one product, not a per-row stack summed back down. The
+    operands of `matmul(x, transpose(w))`, with one node and one gradient
+    copy fewer: dx = dy·w, and dw = (x2ᵀ·dy)ᵀ copied into w's layout."""
+    if x.data.ndim < 2 or w.data.ndim != 2:
+        raise ShapeError(f"linear needs an ndim >= 2 input and a 2-D weight, got {x.shape}, {w.shape}")
+    if x.data.shape[-1] != w.data.shape[1]:
+        raise ShapeError(f"linear inner dimensions disagree: {x.shape} @ {w.shape}.T")
+    x2 = x.data.reshape(-1, x.data.shape[-1])
+    out_data = (x2 @ w.data.T).reshape(x.data.shape[:-1] + (w.data.shape[0],))
+    return Tensor._from_op(out_data, (x, w), _linear_backward, x2)
+
+
+def _linear_backward(out):
+    x, w = out._prev
+    g2 = out.grad.reshape(-1, w.data.shape[0])
+    if x.requires_grad:
+        x._take((g2 @ w.data).reshape(x.data.shape))
+    if w.requires_grad:
+        w._accumulate((out._saved.T @ g2).T)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; dA = dC·Bᵀ, dB = Aᵀ·dC.
 
-    A 2-D `b` (every activation × weight product) takes one gemm over the
-    rows of `a` flattened to (-1, k), so the weight gradient is one
-    (k, n) product, not a per-row stack summed back down. Only a `b` with
-    leading dims (the attention's 4-D @ 4-D products) takes the batched
-    path. For a 2-D `a` both paths do the same arithmetic.
+    A 2-D `b` (the adapter product A·B) takes one gemm over the rows of `a`
+    flattened to (-1, k), as `linear` does. Only a `b` with leading dims
+    (the attention's 4-D @ 4-D products) takes the batched path. For a 2-D
+    `a` both paths do the same arithmetic.
     """
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul needs ndim >= 2 operands, got {a.shape} @ {b.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
     if b.data.ndim == 2:
-        n = b.data.shape[1]
         a2 = a.data.reshape(-1, a.data.shape[-1])
-        out_data = (a2 @ b.data).reshape(a.data.shape[:-1] + (n,))
+        out_data = (a2 @ b.data).reshape(a.data.shape[:-1] + (b.data.shape[1],))
+        return Tensor._from_op(out_data, (a, b), _matmul2_backward, a2)
+    return Tensor._from_op(a.data @ b.data, (a, b), _matmul_backward, None)
 
-        def _bw():
-            g2 = out.grad.reshape(-1, n)
-            if a.requires_grad:
-                a._accumulate((g2 @ b.data.T).reshape(a.data.shape))
-            if b.requires_grad:
-                b._accumulate(a2.T @ g2)
 
-    else:
-        out_data = a.data @ b.data
+def _matmul2_backward(out):
+    a, b = out._prev
+    g2 = out.grad.reshape(-1, b.data.shape[1])
+    if a.requires_grad:
+        a._take((g2 @ b.data.T).reshape(a.data.shape))
+    if b.requires_grad:
+        b._take(out._saved.T @ g2)
 
-        def _bw():
-            g = out.grad
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
-    out = Tensor._from_op(out_data, (a, b), _bw)
-    return out
+def _matmul_backward(out):
+    a, b = out._prev
+    g = out.grad
+    if a.requires_grad:
+        a._take(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+    if b.requires_grad:
+        b._take(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
 
 def transpose(t: Tensor, ax1=-2, ax2=-1) -> Tensor:
-    out_data = np.swapaxes(t.data, ax1, ax2)
+    return Tensor._from_op(np.swapaxes(t.data, ax1, ax2), (t,), _transpose_backward, (ax1, ax2))
 
-    def _bw():
-        t._accumulate(np.swapaxes(out.grad, ax1, ax2))
 
-    out = Tensor._from_op(out_data, (t,), _bw)
-    return out
+def _transpose_backward(out):
+    ax1, ax2 = out._saved
+    out._prev[0]._accumulate(np.swapaxes(out.grad, ax1, ax2))
 
 
 def add(a: Tensor, b) -> Tensor:
     b = _coerce(b)
-    out_data = a.data + b.data
-
-    def _bw():
-        g = out.grad
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
-
-    out = Tensor._from_op(out_data, (a, b), _bw)
-    return out
+    return Tensor._from_op(a.data + b.data, (a, b), _add_backward, False)
 
 
 def sub(a: Tensor, b) -> Tensor:
     b = _coerce(b)
-    out_data = a.data - b.data
+    return Tensor._from_op(a.data - b.data, (a, b), _add_backward, True)
 
-    def _bw():
-        g = out.grad
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.data.shape))
 
-    out = Tensor._from_op(out_data, (a, b), _bw)
-    return out
+def _add_backward(out):
+    """add's and sub's; `out._saved` says whether b was subtracted."""
+    a, b = out._prev
+    g = out.grad
+    if a.requires_grad:
+        a._accumulate(_unbroadcast(g, a.data.shape))
+    if b.requires_grad:
+        b._accumulate(_unbroadcast(-g if out._saved else g, b.data.shape))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data * b.data
+    return Tensor._from_op(a.data * b.data, (a, b), _mul_backward, None)
 
-    def _bw():
-        g = out.grad
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
-    out = Tensor._from_op(out_data, (a, b), _bw)
-    return out
+def _mul_backward(out):
+    a, b = out._prev
+    g = out.grad
+    if a.requires_grad:
+        a._take(_unbroadcast(g * b.data, a.data.shape))
+    if b.requires_grad:
+        b._take(_unbroadcast(g * a.data, b.data.shape))
 
 
 def scale(t: Tensor, c: float) -> Tensor:
     c = float(c)
-    out_data = t.data * c
+    return Tensor._from_op(t.data * c, (t,), _scale_backward, c)
 
-    def _bw():
-        t._accumulate(out.grad * c)
 
-    out = Tensor._from_op(out_data, (t,), _bw)
-    return out
+def _scale_backward(out):
+    out._prev[0]._take(out.grad * out._saved)
 
 
 def relu(t: Tensor) -> Tensor:
-    out_data = np.maximum(t.data, 0)
+    return Tensor._from_op(np.maximum(t.data, 0), (t,), _relu_backward, None)
 
-    def _bw():
-        t._accumulate(out.grad * (t.data > 0))
 
-    out = Tensor._from_op(out_data, (t,), _bw)
-    return out
+def _relu_backward(out):
+    t = out._prev[0]
+    t._take(out.grad * (t.data > 0))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -360,24 +388,26 @@ def gelu(t: Tensor) -> Tensor:
     opt = th + 1.0  # 1 + tanh, kept for the backward
     out_data = x * 0.5
     out_data *= opt
+    return Tensor._from_op(out_data, (t,), _gelu_backward, (th, opt))
 
-    def _bw():
-        # c·(1 + 3·0.044715·x·x)
-        d_inner = x * (3 * 0.044715)
-        d_inner *= x
-        d_inner += 1.0
-        d_inner *= _GELU_C
-        # 0.5·(1 + tanh) + 0.5·x·(1 − tanh²)·d_inner
-        dx = th * th
-        np.subtract(1.0, dx, out=dx)
-        dx *= 0.5 * x
-        dx *= d_inner
-        dx += np.multiply(opt, 0.5, out=d_inner)
-        dx *= out.grad
-        t._accumulate(dx)
 
-    out = Tensor._from_op(out_data, (t,), _bw)
-    return out
+def _gelu_backward(out):
+    t = out._prev[0]
+    th, opt = out._saved
+    x = t.data
+    # c·(1 + 3·0.044715·x·x)
+    d_inner = x * (3 * 0.044715)
+    d_inner *= x
+    d_inner += 1.0
+    d_inner *= _GELU_C
+    # 0.5·(1 + tanh) + 0.5·x·(1 − tanh²)·d_inner
+    dx = th * th
+    np.subtract(1.0, dx, out=dx)
+    dx *= 0.5 * x
+    dx *= d_inner
+    dx += np.multiply(opt, 0.5, out=d_inner)
+    dx *= out.grad
+    t._take(dx)
 
 
 _SHORT_ROW = 8  # numpy sums shorter rows from 0.0 left to right
@@ -402,16 +432,15 @@ def softmax(t: Tensor) -> Tensor:
     e = np.subtract(t.data, _row_reduce(np.maximum, t.data, -math.inf))
     np.exp(e, out=e)
     out_data = np.divide(e, _row_reduce(np.add, e, 0.0), out=e)
+    return Tensor._from_op(out_data, (t,), _softmax_backward, None)
 
-    def _bw():
-        g = out.grad
-        d = g * out_data
-        d = np.subtract(g, _row_reduce(np.add, d, 0.0), out=d)
-        d *= out_data
-        t._accumulate(d)
 
-    out = Tensor._from_op(out_data, (t,), _bw)
-    return out
+def _softmax_backward(out):
+    g, y = out.grad, out.data
+    d = g * y
+    d = np.subtract(g, _row_reduce(np.add, d, 0.0), out=d)
+    d *= y
+    out._prev[0]._take(d)
 
 
 LAYER_NORM_EPS = 1e-5
@@ -428,18 +457,18 @@ def layer_norm(t: Tensor) -> Tensor:
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     y = np.multiply(xc, inv, out=xc)
+    return Tensor._from_op(y, (t,), _layer_norm_backward, inv)
 
-    def _bw():
-        g = out.grad
-        gy = g * y
-        gym = np.add.reduce(gy, axis=-1, keepdims=True) / n
-        d = g - np.add.reduce(g, axis=-1, keepdims=True) / n
-        d -= np.multiply(y, gym, out=gy)
-        d *= inv
-        t._accumulate(d)
 
-    out = Tensor._from_op(y, (t,), _bw)
-    return out
+def _layer_norm_backward(out):
+    g, y = out.grad, out.data
+    n = y.shape[-1]
+    gy = g * y
+    gym = np.add.reduce(gy, axis=-1, keepdims=True) / n
+    d = g - np.add.reduce(g, axis=-1, keepdims=True) / n
+    d -= np.multiply(y, gym, out=gy)
+    d *= out._saved
+    out._prev[0]._take(d)
 
 
 def embedding(table: Tensor, ids) -> Tensor:
@@ -447,40 +476,38 @@ def embedding(table: Tensor, ids) -> Tensor:
     ids = np.asarray(ids)
     if not np.issubdtype(ids.dtype, np.integer):
         raise ShapeError(f"embedding ids must be integers, got dtype {ids.dtype}")
-    out_data = table.data[ids]
+    return Tensor._from_op(table.data[ids], (table,), _embedding_backward, ids)
 
-    def _bw():
-        g = np.zeros_like(table.data)
-        np.add.at(g, ids.reshape(-1), out.grad.reshape(-1, table.data.shape[-1]))
-        table._accumulate(g)
 
-    out = Tensor._from_op(out_data, (table,), _bw)
-    return out
+def _embedding_backward(out):
+    table = out._prev[0]
+    g = np.zeros_like(table.data)
+    np.add.at(g, out._saved.reshape(-1), out.grad.reshape(-1, table.data.shape[-1]))
+    table._take(g)
 
 
 def reshape(t: Tensor, shape) -> Tensor:
-    out_data = t.data.reshape(shape)
+    return Tensor._from_op(t.data.reshape(shape), (t,), _reshape_backward, None)
 
-    def _bw():
-        t._accumulate(out.grad.reshape(t.data.shape))
 
-    out = Tensor._from_op(out_data, (t,), _bw)
-    return out
+def _reshape_backward(out):
+    t = out._prev[0]
+    t._accumulate(out.grad.reshape(t.data.shape))
 
 
 def tsum(t: Tensor, axis=None) -> Tensor:
     out_data = t.data.sum(axis=axis)
     if axis is None:
         out_data = np.asarray(out_data)
+    return Tensor._from_op(out_data, (t,), _tsum_backward, axis)
 
-    def _bw():
-        g = out.grad
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        t._accumulate(np.broadcast_to(g, t.data.shape))
 
-    out = Tensor._from_op(out_data, (t,), _bw)
-    return out
+def _tsum_backward(out):
+    t = out._prev[0]
+    g = out.grad
+    if out._saved is not None:
+        g = np.expand_dims(g, out._saved)
+    t._accumulate(np.broadcast_to(g, t.data.shape))
 
 
 def mse(pred: Tensor, target) -> Tensor:
@@ -489,14 +516,13 @@ def mse(pred: Tensor, target) -> Tensor:
     if tgt.shape != pred.data.shape:
         raise ShapeError(f"mse shapes disagree: {pred.shape} vs {tgt.shape}")
     diff = pred.data - tgt
-    n = diff.size
-    out_data = np.asarray((diff * diff).sum() / n)
+    out_data = np.asarray(np.add.reduce(diff * diff, axis=None) / diff.size)
+    return Tensor._from_op(out_data, (pred,), _mse_backward, diff)
 
-    def _bw():
-        pred._accumulate(out.grad * (2.0 / n) * diff)
 
-    out = Tensor._from_op(out_data, (pred,), _bw)
-    return out
+def _mse_backward(out):
+    diff = out._saved
+    out._prev[0]._take(out.grad * (2.0 / diff.size) * diff)
 
 
 def cross_entropy_logits(logits: Tensor, ids) -> Tensor:
@@ -514,20 +540,21 @@ def cross_entropy_logits(logits: Tensor, ids) -> Tensor:
     n = z.shape[0]
     picked = z[np.arange(n), ids]
     out_data = np.asarray((lse[:, 0] - picked).sum() / n)
+    return Tensor._from_op(out_data, (logits,), _cross_entropy_backward, (e, se, ids))
 
-    def _bw():
-        p = e / se
-        p[np.arange(n), ids] -= 1.0
-        logits._accumulate(out.grad * p / n)
 
-    out = Tensor._from_op(out_data, (logits,), _bw)
-    return out
+def _cross_entropy_backward(out):
+    e, se, ids = out._saved
+    n = e.shape[0]
+    p = e / se
+    p[np.arange(n), ids] -= 1.0
+    out._prev[0]._take(out.grad * p / n)
 
 
 def frobenius_norm(t: Tensor | np.ndarray) -> float:
     """sqrt of the sum of squares of all elements."""
     arr = t.data if isinstance(t, Tensor) else np.asarray(t)
-    return float(np.sqrt((arr * arr).sum()))
+    return float(np.sqrt(np.add.reduce(arr * arr, axis=None)))
 
 
 def sgd_step(params, eta: float):
@@ -614,7 +641,12 @@ class Rng:
         return _mix(z)
 
     def next_u64(self) -> int:
-        return int(self._raw(1)[0])
+        """The next raw output: `_raw(1)`'s step in Python integers, which
+        costs a fraction of building the arrays for one draw."""
+        self.state = z = (self.state + _GAMMA) & MASK64
+        z = ((z ^ (z >> 30)) * _M1) & MASK64
+        z = ((z ^ (z >> 27)) * _M2) & MASK64
+        return z ^ (z >> 31)
 
     def gaussian(self, shape) -> np.ndarray:
         """iid standard normals via Box-Muller on the raw stream.

@@ -129,6 +129,11 @@ class TestCriterion01GradientOracle:
 
         self._check(chain, [w1, w2_, w3])
         checked += 1
+        # linear (x @ wᵀ) on a 2-D and a 3-D input
+        lw = t((5, 4))
+        for lx in (t((3, 4)), t((2, 3, 4))):
+            self._check(lambda: tt.tsum(tt.mul(tt.linear(lx, lw), tt.linear(lx, lw))), [lx, lw])
+        checked += 1
         # full transformer loss through every kernel at once
         model = build_transformer(vocab=5, d_model=8, n_layers=1, n_heads=2, d_ff=16, rng=Rng(5), max_seq=4)
         batch = mz.Dataset(np.array([[1, 2, 3, 4], [0, 4, 2, 1]]), np.array([1, 3]))

@@ -15,7 +15,7 @@ from xgblora.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from xgblora.cli import main
+from xgblora.cli import main, make_parser
 from xgblora.config import RunConfig, parse_config, serialize_config
 from xgblora.lora import init_adapter_set, param_count
 from xgblora.models import build_mlp, build_transformer
@@ -370,6 +370,11 @@ class TestCli:
             with pytest.raises(SystemExit) as exc:
                 main(["train", "--seed", "1", *argv])
             assert exc.value.code == 2, argv
+
+    def test_probe_writes_where_the_docs_say(self):
+        """`probe all` writes to runs/probes, the directory of the committed
+        reports, unless --out-dir says otherwise."""
+        assert make_parser().parse_args(["probe", "all", "--seed", "0"]).out_dir == "runs/probes"
 
     def test_seed_mandatory_for_train(self):
         with pytest.raises(SystemExit) as exc:

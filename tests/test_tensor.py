@@ -106,6 +106,55 @@ class TestMatmul:
         assert w.grad.flags.c_contiguous
 
 
+class TestLinear:
+    # (x, w) of every weight product of the parity transformer (batch 64,
+    # seq 4, d_model 32, d_ff 64, vocab 2), and of the 16x16 matrix teacher
+    SHAPES = [
+        ((64, 4, 32), (32, 32)),  # attention q, k, v, o
+        ((64, 4, 32), (64, 32)),  # ffn up
+        ((64, 4, 64), (32, 64)),  # ffn down
+        ((64, 4, 32), (2, 32)),  # output head
+        ((128, 16), (16, 16)),  # mlp dense
+    ]
+
+    @pytest.mark.parametrize("x_shape, w_shape", SHAPES)
+    def test_bytes_match_matmul_of_the_transpose(self, x_shape, w_shape):
+        """linear(x, w) is matmul(x, transpose(w)) with one node and one
+        gradient copy fewer: the output, x.grad and w.grad keep their bytes,
+        and w.grad is C-contiguous like w."""
+        rng = Rng(23)
+        xd, wd = rng.gaussian(x_shape), rng.gaussian(w_shape)
+        g = Tensor(rng.gaussian(x_shape[:-1] + w_shape[:1]))
+        results = []
+        for op in (tt.linear, lambda x, w: tt.matmul(x, tt.transpose(w))):
+            x, w = Tensor(xd, requires_grad=True), Tensor(wd, requires_grad=True)
+            y = op(x, w)
+            tt.tsum(tt.mul(y, g)).backward()
+            results.append((y.data, x.grad, w.grad))
+        for got, want in zip(*results):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert results[0][2].flags.c_contiguous
+
+    def test_shape_mismatch_names_both_shapes(self):
+        with pytest.raises(tt.ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
+            tt.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
+        with pytest.raises(tt.ShapeError, match="2-D weight"):
+            tt.linear(Tensor(np.ones((2, 3))), Tensor(np.ones(3)))
+
+
+def _parity_graph_inputs():
+    """A small parity dataset, a 2-layer transformer and rank-1 adapters on
+    every adaptable weight."""
+    from xgblora.lora import init_adapter_set
+    from xgblora.models import build_transformer, list_adaptable_weights
+    from xgblora.tasks import gen_sequence_dataset
+
+    data = gen_sequence_dataset("parity", seq_len=4, n=16, seed=0)
+    model = build_transformer(vocab=2, d_model=8, n_layers=2, n_heads=2, d_ff=16, rng=Rng(1), max_seq=4)
+    return data, model, init_adapter_set(model, list_adaptable_weights(model), 1, Rng(2))
+
+
 class TestBackward:
     def test_quadratic_grad_is_identity(self):
         w = Tensor([[1.0, -2.0], [3.0, 0.5]], requires_grad=True)
@@ -152,13 +201,9 @@ class TestBackward:
         """With the cyclic collector off, the array an interior node of a
         training step's graph holds is gone once backward() has returned and
         the loss is dropped."""
-        from xgblora.lora import init_adapter_set
-        from xgblora.models import batch_loss, build_transformer, list_adaptable_weights
-        from xgblora.tasks import gen_sequence_dataset
+        from xgblora.models import batch_loss
 
-        data = gen_sequence_dataset("parity", seq_len=4, n=16, seed=0)
-        model = build_transformer(vocab=2, d_model=8, n_layers=2, n_heads=2, d_ff=16, rng=Rng(1), max_seq=4)
-        adapters = init_adapter_set(model, list_adaptable_weights(model), 1, Rng(2))
+        data, model, adapters = _parity_graph_inputs()
         gc.disable()
         try:
             loss = batch_loss(model, data, adapters=adapters)
@@ -170,6 +215,52 @@ class TestBackward:
         finally:
             gc.enable()
         assert all(p.grad is not None for p in adapters.trainable_params())
+
+    def test_graph_only_read_is_freed_by_reference_counting(self):
+        """A loss that is evaluated and read but never backwarded holds no
+        reference cycle: with the cyclic collector off, an interior node's
+        array is gone once the loss is dropped."""
+        from xgblora.models import batch_loss
+
+        data, model, adapters = _parity_graph_inputs()
+        gc.disable()
+        try:
+            loss = batch_loss(model, data, adapters=adapters)
+            interior = weakref.ref(loss._prev[0].data)
+            assert math.isfinite(loss.item())
+            assert interior() is not None
+            del loss
+            assert interior() is None
+        finally:
+            gc.enable()
+
+    def test_backward_functions_are_module_level(self):
+        """No node of a full transformer step's graph (every weight and every
+        adapter trained, adapter penalty on) holds a closure: each records a
+        module-level function of xgblora.tensor."""
+        from xgblora.models import batch_loss
+
+        data, model, adapters = _parity_graph_inputs()
+        for w in model.weights.values():
+            w.requires_grad = True
+        loss = batch_loss(model, data, adapters=adapters, lam=0.1)
+        names, seen, stack = set(), set(), [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            fn = node._backward
+            if fn is not None:
+                assert fn.__closure__ is None
+                assert fn.__qualname__ == fn.__name__
+                assert getattr(tt, fn.__name__) is fn
+                names.add(fn.__name__)
+            stack.extend(node._prev)
+        ops = ("linear", "matmul2", "matmul", "transpose", "add", "mul", "scale", "gelu",
+               "softmax", "layer_norm", "embedding", "reshape", "tsum", "cross_entropy")
+        assert names == {f"_{op}_backward" for op in ops}
+        loss.backward()
 
     def test_grad_never_aliases(self):
         """The first gradient a node receives is copied: a leaf's .grad shares
@@ -217,6 +308,11 @@ class TestKernelGradients:
     def test_transpose(self):
         a = self._t((3, 5))
         check_grad(lambda: tt.tsum(tt.mul(tt.transpose(a), tt.transpose(a))), [a])
+
+    @pytest.mark.parametrize("lead", [(4,), (2, 3)])
+    def test_linear(self, lead):
+        x, w = self._t(lead + (5,)), self._t((3, 5))
+        check_grad(lambda: tt.tsum(tt.mul(tt.linear(x, w), tt.linear(x, w))), [x, w])
 
     def test_relu(self):
         a = Tensor([-1.5, -0.2, 0.3, 2.0], requires_grad=True)
@@ -455,6 +551,16 @@ class TestRng:
         for seed in (0, 1, 42, 0xDEADBEEF, (1 << 64) - 1):
             rng = Rng(seed)
             assert list(rng._raw(16)) == _splitmix_reference(seed, 16)
+
+    def test_scalar_draws_are_the_raw_stream(self):
+        """next_u64 steps in Python integers: 1000 draws are `_raw(1000)`
+        and leave the same state."""
+        for seed in (0, 7, 0xDEADBEEF, (1 << 64) - 1):
+            scalar, raw = Rng(seed), Rng(seed)
+            draws = [scalar.next_u64() for _ in range(1000)]
+            assert all(type(d) is int for d in draws)
+            assert draws == raw._raw(1000).tolist()
+            assert scalar.state == raw.state
 
     def test_same_seed_same_tensors(self):
         a = Rng(99).gaussian((17, 3))
