@@ -38,7 +38,7 @@ from xgblora.boosting import (
 from xgblora.checkpoint import CheckpointState, load_checkpoint, save_checkpoint
 from xgblora.config import RunConfig, load_config, save_config
 from xgblora.lora import param_count
-from xgblora.models import build_transformer, forward, logits_accuracy, task_loss
+from xgblora.models import build_transformer, logits_accuracy, loss_logits, task_loss
 from xgblora.reporting import MetricsWriter, emit_report, svg_line_plot
 from xgblora.tasks import gen_sequence_dataset, gen_teacher_dataset
 from xgblora.tensor import Rng
@@ -127,7 +127,7 @@ def cmd_train(args) -> int:
             with MetricsWriter(metrics_path, run_id, model.total_params()) as mw:
                 model, losses = full_finetune(model, data, cfg)
                 mw.write_step(1, len(losses), losses[-1], model.total_params())
-            final = _final_train_loss(model, data, forward(model, data))
+            final = _final_train_loss(model, data, loss_logits(model, data))
             save_checkpoint(ckpt_path, CheckpointState(model, step=len(losses), booster=0, rng_state=0))
             print(f"final loss {final:.6g}")
             return EXIT_OK
@@ -139,7 +139,7 @@ def cmd_train(args) -> int:
                 mw.write_iteration(trace, run.global_step, param_count(model, run.adapters)["trainable"])
 
             boost_step(run, stop_after_step=args.stop_after_step, on_merge=on_merge)
-        logits = forward(model, data)
+        logits = loss_logits(model, data)
         final = _final_train_loss(model, data, logits)
 
     run.save(ckpt_path)
@@ -152,8 +152,8 @@ def cmd_train(args) -> int:
 
 def _final_train_loss(model, data, logits) -> float:
     """Full-data train loss of the trained model from its `logits` on
-    `data`; a non-finite one means the last update diverged, which no
-    per-step loss saw."""
+    `data` (`loss_logits`); a non-finite one means the last update
+    diverged, which no per-step loss saw."""
     value = task_loss(model, logits, data.targets).item()
     if not np.isfinite(value):
         raise FloatingPointError(f"run diverged: final train loss {value}; lower eta")

@@ -12,12 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from xgblora.models import ModelSpec, WeightId, sort_key
+from xgblora.models import AdapterError, ModelSpec, WeightId, sort_key
 from xgblora.tensor import Rng, ShapeError, Tensor
-
-
-class AdapterError(ValueError):
-    """Adapter lifecycle misuse (double merge, stale set, bad target)."""
 
 
 @dataclass

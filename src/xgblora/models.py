@@ -4,8 +4,10 @@ Two model kinds, each with a fixed activation and loss: an L-layer MLP
 (first and last layers linear, middle layers relu, mean squared error) and
 a tiny decoder-style transformer with pre-norm residual blocks, gelu
 feed-forward layers, learned positional embeddings, causal masking and
-cross-entropy on the last position. All weights are float64 and live in a
-flat {WeightId: Tensor} map so adapters can target any matrix. A minibatch
+cross-entropy on the last position; its loss computes the last block past
+the attention, the final norm and the head at that position only
+(`loss_logits`). All weights are float64 and live in a flat
+{WeightId: Tensor} map so adapters can target any matrix. A minibatch
 is a `Dataset` too: `Dataset.batch` selects one, and `forward`,
 `batch_loss`, `loss_eval` and `accuracy` take a dataset whole. The forward
 can also start at a later layer, from the activations `layer_input`
@@ -14,6 +16,7 @@ computed below it (`layer_loss`).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -29,6 +32,7 @@ from xgblora.tensor import (
     cross_entropy_logits,
     embedding,
     gelu,
+    last_position,
     layer_norm,
     linear,
     matmul,
@@ -42,6 +46,10 @@ from xgblora.tensor import (
 )
 
 ATTN_MASK_NEG = -1e30  # finite stand-in for -inf so tensors stay NaN/Inf-free
+
+
+class AdapterError(ValueError):
+    """Adapter lifecycle misuse (double merge, stale set, bad target)."""
 
 
 class Role(str, Enum):
@@ -225,7 +233,8 @@ def list_adaptable_weights(model: ModelSpec, policy="qv") -> list[WeightId]:
 def _resolve_weights(model: ModelSpec, adapters):
     """Map wid -> effective weight tensor, materializing W + A@B for
     adapted matrices so merged and adapted forwards share the same float
-    path. Base weights are never mutated; an adapter whose A (d, r) or
+    path. Base weights are never mutated. An adapter on a matrix the model
+    lacks raises AdapterError, as its merge would; one whose A (d, r) or
     B (r, k) does not fit its (d, k) target raises ShapeError rather than
     broadcasting."""
     eff = dict(model.weights)
@@ -235,7 +244,7 @@ def _resolve_weights(model: ModelSpec, adapters):
     for wid, pair in adapters.pairs.items():
         w = eff.get(wid)
         if w is None:
-            continue
+            raise AdapterError(f"adapter target {wid} not present in model")
         d, k = w.data.shape
         if pair.a.data.shape[0] != d or pair.b.data.shape != (pair.a.data.shape[1], k):
             raise ShapeError(
@@ -270,13 +279,18 @@ def _mlp_block(model: ModelSpec, x: Tensor, l: int, eff) -> Tensor:
     return relu(h) if 1 < l < model.layers else h
 
 
+@functools.lru_cache(maxsize=None)
 def _causal_mask(seq) -> Tensor:
-    return Tensor(np.triu(np.full((seq, seq), ATTN_MASK_NEG), k=1))
+    """The additive (seq, seq) mask, built once per length and shared by
+    every block; it needs no gradient, and its array is read-only."""
+    mask = Tensor(np.triu(np.full((seq, seq), ATTN_MASK_NEG), k=1))
+    mask.data.flags.writeable = False
+    return mask
 
 
-def _transformer_block(model: ModelSpec, x: Tensor, l: int, eff) -> Tensor:
-    """Pre-norm residual block l: causal self-attention, then the gelu
-    feed-forward layer."""
+def _attention(model: ModelSpec, x: Tensor, l: int, eff) -> Tensor:
+    """Block l's causal self-attention over every position of x (b, seq, d):
+    the heads' context vectors, (b, seq, d), before the output projection."""
     b, seq, d = x.data.shape
     n_heads = model.n_heads
     d_head = d // n_heads
@@ -290,12 +304,23 @@ def _transformer_block(model: ModelSpec, x: Tensor, l: int, eff) -> Tensor:
     v = transpose(reshape(v, (b, seq, n_heads, d_head)), 1, 2)
     scores = matmul(q, transpose(k)) * (1.0 / math.sqrt(d_head))
     attn = softmax(scores + _causal_mask(seq))
-    ctx = reshape(transpose(matmul(attn, v), 1, 2), (b, seq, d))
-    x = x + linear(ctx, eff[WeightId(l, Role.ATTN_O)])
+    return reshape(transpose(matmul(attn, v), 1, 2), (b, seq, d))
 
+
+def _block_tail(x: Tensor, ctx: Tensor, l: int, eff) -> Tensor:
+    """The rest of block l from its input x and attention context ctx, at
+    the positions they hold (all of them, or the last one): the residual
+    through the output projection, then the gelu feed-forward layer."""
+    x = x + linear(ctx, eff[WeightId(l, Role.ATTN_O)])
     a2 = layer_norm(x)
     h = gelu(linear(a2, eff[WeightId(l, Role.FFN_UP)]))
     return x + linear(h, eff[WeightId(l, Role.FFN_DOWN)])
+
+
+def _transformer_block(model: ModelSpec, x: Tensor, l: int, eff) -> Tensor:
+    """Pre-norm residual block l: causal self-attention, then the gelu
+    feed-forward layer."""
+    return _block_tail(x, _attention(model, x, l, eff), l, eff)
 
 
 def _blocks(model: ModelSpec, x: Tensor, eff, start: int, stop: int) -> Tensor:
@@ -306,14 +331,34 @@ def _blocks(model: ModelSpec, x: Tensor, eff, start: int, stop: int) -> Tensor:
     return x
 
 
+def _head(model: ModelSpec, x: Tensor, eff) -> Tensor:
+    """The transformer's final norm and output projection."""
+    return linear(layer_norm(x), eff[WeightId(model.layers, Role.OUTPUT)])
+
+
 def _forward(model: ModelSpec, x: Tensor, eff, start: int) -> Tensor:
     """Logits from `x`, the activations entering layer `start`: the layers
-    from there on, then the transformer's final norm and output projection
-    (an MLP's last layer is its output)."""
+    from there on, then the transformer's head (an MLP's last layer is its
+    output)."""
     x = _blocks(model, x, eff, start, model.layers + 1)
     if model.kind == "mlp":
         return x
-    return linear(layer_norm(x), eff[WeightId(model.layers, Role.OUTPUT)])
+    return _head(model, x, eff)
+
+
+def _loss_logits(model: ModelSpec, x: Tensor, eff, start: int) -> Tensor:
+    """The logits the task loss reads, from `x`, the activations entering
+    layer `start`: an MLP's outputs, the transformer's (b, vocab) logits at
+    the last position. The last block's attention runs at every position,
+    since its keys and values read every row; the block's tail, the final
+    norm and the head run at the last position only. On the canonical
+    shapes these are the bits of `_forward`'s last position (README)."""
+    if model.kind == "mlp":
+        return _forward(model, x, eff, start)
+    last = model.layers
+    x = _blocks(model, x, eff, start, last)
+    ctx = _attention(model, x, last, eff)
+    return _head(model, _block_tail(last_position(x), last_position(ctx), last, eff), eff)
 
 
 def forward(model: ModelSpec, data, adapters=None) -> Tensor:
@@ -347,29 +392,29 @@ def layer_input(model: ModelSpec, data: Dataset, layer: int, rows: int) -> np.nd
     return out
 
 
-def _pool_last(logits: Tensor) -> Tensor:
-    """Select the final sequence position via mask-multiply + sum, keeping
-    the op set closed."""
-    b, seq, _ = logits.data.shape
-    m = np.zeros((seq, 1))
-    m[-1, 0] = 1.0
-    picked = mul(logits, Tensor(m))
-    return tsum(picked, axis=1)
+def loss_logits(model: ModelSpec, data: Dataset) -> Tensor:
+    """The logits `task_loss` reads for a dataset, through the stored
+    weights: an MLP's outputs, the transformer's (n, vocab) logits at the
+    last position."""
+    eff = model.weights
+    return _loss_logits(model, _stem(model, data.inputs, eff), eff, 1)
 
 
 def task_loss(model: ModelSpec, logits: Tensor, targets) -> Tensor:
-    """The model kind's loss: mean squared error for an MLP, mean
-    cross-entropy at the last position for the transformer."""
+    """The model kind's loss of `loss_logits`' logits: mean squared error
+    for an MLP, mean cross-entropy for the transformer."""
     if model.kind == "mlp":
         return mse(logits, targets)
-    return cross_entropy_logits(_pool_last(logits), np.asarray(targets))
+    return cross_entropy_logits(logits, np.asarray(targets))
 
 
 def batch_loss(model: ModelSpec, data: Dataset, adapters=None, lam=0.0) -> Tensor:
     """Training objective on a minibatch or a whole dataset: mean task loss
     plus lam * sum of squared adapter Frobenius norms over the active
     adapters only."""
-    return _objective(model, forward(model, data, adapters=adapters), data.targets, adapters, lam)
+    eff = _resolve_weights(model, adapters)
+    logits = _loss_logits(model, _stem(model, data.inputs, eff), eff, 1)
+    return _objective(model, logits, data.targets, adapters, lam)
 
 
 def layer_loss(model: ModelSpec, x: np.ndarray, targets, adapters, lam: float, layer: int) -> Tensor:
@@ -380,7 +425,7 @@ def layer_loss(model: ModelSpec, x: np.ndarray, targets, adapters, lam: float, l
     # a leaf made like an op's output, with no finiteness check: a
     # non-finite activation ends in the step's divergence error, as it
     # does when the forward starts at layer 1
-    logits = _forward(model, Tensor._from_op(x, (), None, None), eff, layer)
+    logits = _loss_logits(model, Tensor._from_op(x, (), None, None), eff, layer)
     return _objective(model, logits, targets, adapters, lam)
 
 
@@ -406,14 +451,13 @@ def loss_eval(model: ModelSpec, dataset: Dataset, adapters=None, lam=0.0) -> flo
 
 def accuracy(model: ModelSpec, dataset: Dataset) -> float:
     """Classification accuracy (transformers only)."""
-    return logits_accuracy(forward(model, dataset), dataset.targets)
+    return logits_accuracy(loss_logits(model, dataset), dataset.targets)
 
 
 def logits_accuracy(logits: Tensor, targets) -> float:
-    """Share of examples whose largest logit (at the last position of a
-    sequence) is at their target class."""
-    z = logits.data
-    if z.ndim == 3:
-        z = z[:, -1, :]
-    pred = z.argmax(axis=-1)
+    """Share of examples whose largest logit is at their target class, from
+    (n, classes) logits (`loss_logits`)."""
+    if logits.data.ndim != 2:
+        raise ShapeError(f"logits_accuracy needs (n, classes) logits, got {logits.shape}")
+    pred = logits.data.argmax(axis=-1)
     return float((pred == np.asarray(targets)).mean())

@@ -24,10 +24,10 @@ from xgblora.models import (
     Dataset,
     ModelSpec,
     WeightId,
-    forward,
     list_adaptable_weights,
     logits_accuracy,
     loss_eval,
+    loss_logits,
     task_loss,
 )
 from xgblora.tasks import TeacherTask, gen_teacher_dataset, quadratic_optimum
@@ -615,7 +615,7 @@ def kappa_sweep(
                               sample_layers=sample_layers or model.layers, policy="all", eta=eta,
                               batch_size=batch_size, seed=seed * 60013 + kappa)
             xgblora_fit(model, data, cfg)
-            logits = forward(model, data)
+            logits = loss_logits(model, data)
             return task_loss(model, logits, data.targets).item(), logits_accuracy(logits, data.targets)
 
         chosen, accs = _pick_step_size(eta_grid, seeds, fit, arm=f"kappa={kappa}")

@@ -3,11 +3,12 @@ finite-difference gradient oracle.
 
 The op set is deliberately small: linear (x @ wᵀ, every activation × weight
 product), matmul, transpose, add/sub/mul, scalar ops, relu, gelu (tanh
-form), row softmax, layer norm, embedding gather, reshape, sum,
-cross-entropy-with-logits, mse. Tensor data is always float64, the one
-precision; a fixed seed gives bit-identical runs. A test pins that a short
-parity fit ends on the same weight bits with OpenBLAS on one thread and on
-two; other BLAS builds and thread counts are not checked.
+form), row softmax, layer norm, embedding gather, reshape, last sequence
+position, sum, cross-entropy-with-logits, mse. Tensor data is always
+float64, the one precision; a fixed seed gives bit-identical runs. A test
+pins that a short parity fit ends on the same weight bits with OpenBLAS on
+one thread and on two; other BLAS builds and thread counts are not
+checked.
 
 An op's node records a module-level backward function, its input nodes
 and the arrays that function needs, not a closure, so a graph holds no
@@ -493,6 +494,22 @@ def reshape(t: Tensor, shape) -> Tensor:
 def _reshape_backward(out):
     t = out._prev[0]
     t._accumulate(out.grad.reshape(t.data.shape))
+
+
+def last_position(t: Tensor) -> Tensor:
+    """The last sequence position of a (b, seq, d) tensor, as a C-contiguous
+    (b, d) copy; backward scatters the gradient into zeros at the other
+    positions."""
+    if t.data.ndim != 3:
+        raise ShapeError(f"last_position needs a (batch, seq, d) tensor, got {t.shape}")
+    return Tensor._from_op(t.data[:, -1].copy(), (t,), _last_position_backward, None)
+
+
+def _last_position_backward(out):
+    t = out._prev[0]
+    g = np.zeros(t.data.shape)
+    g[:, -1] = out.grad
+    t._take(g)
 
 
 def tsum(t: Tensor, axis=None) -> Tensor:

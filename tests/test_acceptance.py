@@ -107,6 +107,11 @@ class TestCriterion01GradientOracle:
             [q],
         )
         checked += 1
+        # last sequence position
+        lp = t((2, 3, 4))
+        w3 = Tensor(rng.gaussian((2, 4)))
+        self._check(lambda: tt.tsum(tt.mul(tt.last_position(lp), w3)), [lp])
+        checked += 1
         # cross entropy
         z = t((6, 4))
         labels = np.array([0, 1, 2, 3, 2, 1])

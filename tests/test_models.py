@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xgblora import models as mz
 from xgblora import tensor as tt
-from xgblora.lora import init_adapter_set
+from xgblora.lora import AdapterError, init_adapter_set
 from xgblora.models import Dataset, Role, WeightId, build_mlp, build_transformer
+from xgblora.tasks import gen_sequence_dataset
 from xgblora.tensor import Rng, Tensor
 
 
@@ -131,6 +134,16 @@ class TestForwardWithAdapters:
         for wid in snapshot:
             assert np.array_equal(m.weights[wid].data, snapshot[wid])
 
+    def test_adapter_on_a_missing_target_raises(self):
+        """An adapter set built on a deeper MLP fails the forward of a
+        shallower one by naming the pair its target is missing for, as a
+        merge would, instead of dropping that pair."""
+        deep = build_mlp([4, 4, 4], rng=Rng(1))
+        adapters = init_adapter_set(deep, mz.list_adaptable_weights(deep), r=1, rng=Rng(2))
+        data = Dataset(Rng(3).gaussian((5, 4)), Rng(4).gaussian((5, 4)))
+        with pytest.raises(AdapterError, match="L2.mlp_dense"):
+            mz.loss_eval(build_mlp([4, 4], rng=Rng(5)), data, adapters)
+
 
 class TestLossEval:
     def test_perfect_predictions_zero_mse(self):
@@ -182,6 +195,112 @@ class TestLossEval:
         ds = Dataset(np.zeros((1, 2)), np.zeros((1, 2)))
         with pytest.raises(ValueError):
             mz.loss_eval(m, ds, lam=-0.1)
+
+
+def _loss_and_grads(loss, adapters):
+    """The loss value and every adapter factor's gradient, consumed."""
+    loss.backward()
+    params = adapters.trainable_params()
+    out = [loss.data] + [p.grad for p in params]
+    for p in params:
+        p.zero_grad()
+    return out
+
+
+def _both_paths(model, data, adapters, lam, start):
+    """The loss value and adapter gradients of the objective from layer
+    `start` (`batch_loss` from layer 1, `layer_loss` above a frozen
+    prefix), then of the same objective through the logits of every
+    position, the last one picked by mask-multiply and sum: the
+    transformer's loss before its last block's tail ran at the last
+    position only."""
+    eff = mz._resolve_weights(model, adapters)
+    if start == 1:
+        new = mz.batch_loss(model, data, adapters=adapters, lam=lam)
+        x = mz._stem(model, data.inputs, eff)
+    else:
+        prefix = mz.layer_input(model, data, start, data.n)
+        new = mz.layer_loss(model, prefix, data.targets, adapters, lam, start)
+        x = Tensor(prefix)
+    logits = mz._forward(model, x, eff, start)
+    mask = np.zeros((logits.shape[1], 1))
+    mask[-1, 0] = 1.0
+    pooled = tt.tsum(tt.mul(logits, Tensor(mask)), axis=1)
+    ref = mz._objective(model, pooled, data.targets, adapters, lam)
+    return _loss_and_grads(new, adapters), _loss_and_grads(ref, adapters)
+
+
+def _live_adapters(model, layers, rank, rng):
+    """Rank-`rank` adapters on every matrix of `layers`, with B drawn too,
+    so that A's gradient is not zero."""
+    targets = [wid for wid in mz.list_adaptable_weights(model, "all") if wid.layer in layers]
+    adapters = init_adapter_set(model, targets, r=rank, rng=rng)
+    for pair in adapters.pairs.values():
+        pair.b.data = rng.gaussian(pair.b.shape) * 0.1
+    return adapters
+
+
+class TestLastPositionLoss:
+    """The transformer's loss computes the last block's tail, the final norm
+    and the head at the last position only (`models._loss_logits`)."""
+
+    def _parity(self):
+        data = gen_sequence_dataset("parity", seq_len=4, n=64, seed=7)
+        model = build_transformer(vocab=2, d_model=32, n_layers=4, n_heads=4, d_ff=64, rng=Rng(1),
+                                  max_seq=4)
+        return data, model
+
+    @pytest.mark.parametrize("start", [1, 3])
+    def test_bits_equal_the_full_sequence_path(self, start):
+        """On the parity transformer at batch 64, seq 4, with layers 3-4
+        adapted, the loss and every adapter gradient keep the bits of the
+        full-sequence path: from the embeddings (`batch_loss`) and from the
+        frozen prefix below layer 3 (`layer_loss`)."""
+        data, model = self._parity()
+        got, want = _both_paths(model, data, _live_adapters(model, (3, 4), 1, Rng(2)), 0.1, start)
+        assert len(got) == 1 + 2 * 12
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    def test_loss_logits_are_the_forward_at_the_last_position(self):
+        data, model = self._parity()
+        assert mz.loss_logits(model, data).data.tobytes() == mz.forward(model, data).data[:, -1].tobytes()
+        assert mz.accuracy(model, data) == mz.logits_accuracy(Tensor(mz.forward(model, data).data[:, -1]),
+                                                              data.targets)
+
+    def test_logits_accuracy_needs_one_row_per_example(self):
+        data, model = self._parity()
+        with pytest.raises(tt.ShapeError):
+            mz.logits_accuracy(mz.forward(model, data), data.targets)
+
+    def test_causal_mask_is_built_once_per_length(self):
+        assert mz._causal_mask(5) is mz._causal_mask(5)
+        assert np.array_equal(mz._causal_mask(3).data, np.triu(np.full((3, 3), mz.ATTN_MASK_NEG), k=1))
+
+
+def _rel_norm(a, b):
+    scale = np.sqrt((b * b).sum())
+    return np.sqrt(((a - b) ** 2).sum()) / scale if scale else float(np.abs(a).max())
+
+
+@given(seq=st.integers(1, 6), layers=st.integers(1, 3), batch=st.integers(1, 70),
+       seed=st.integers(0, 2**16))
+@settings(derandomize=True, max_examples=40, deadline=None)
+@example(seq=1, layers=1, batch=1, seed=0)
+@example(seq=6, layers=3, batch=70, seed=2)
+def test_last_position_loss_agrees_with_the_full_sequence(seq, layers, batch, seed):
+    """On tiny transformers, from the embeddings and from a frozen prefix,
+    the last-position loss and adapter gradients agree with the
+    full-sequence path within 1e-12 relative (bits may differ: a gemm row's
+    last bits can depend on the rows around it)."""
+    rng = Rng(seed)
+    model = build_transformer(vocab=3, d_model=8, n_layers=layers, n_heads=2, d_ff=16, rng=rng,
+                              max_seq=6)
+    data = Dataset(rng.randint_array(3, batch * seq).reshape(batch, seq), rng.randint_array(3, batch))
+    start = 1 + seed % layers
+    adapters = _live_adapters(model, range(start, layers + 1), 2, rng)
+    for a, b in zip(*_both_paths(model, data, adapters, 0.0, start)):
+        assert _rel_norm(a, b) <= 1e-12
 
 
 class TestDataset:

@@ -258,7 +258,8 @@ class TestBackward:
                 names.add(fn.__name__)
             stack.extend(node._prev)
         ops = ("linear", "matmul2", "matmul", "transpose", "add", "mul", "scale", "gelu",
-               "softmax", "layer_norm", "embedding", "reshape", "tsum", "cross_entropy")
+               "softmax", "layer_norm", "embedding", "reshape", "last_position", "tsum",
+               "cross_entropy")
         assert names == {f"_{op}_backward" for op in ops}
         loss.backward()
 
@@ -344,6 +345,20 @@ class TestKernelGradients:
         table = self._t((7, 4))
         ids = np.array([[0, 3, 3], [6, 1, 0]])
         check_grad(lambda: tt.tsum(tt.mul(tt.embedding(table, ids), tt.embedding(table, ids))), [table])
+
+    @pytest.mark.parametrize("seq", [1, 4])
+    def test_last_position(self, seq):
+        a = self._t((3, seq, 5))
+        check_grad(lambda: tt.tsum(tt.mul(tt.last_position(a), tt.last_position(a))), [a])
+
+    @pytest.mark.parametrize("seq", [1, 3])
+    def test_last_position_is_a_contiguous_copy(self, seq):
+        a = Tensor(self.rng.gaussian((2, seq, 4)))
+        out = tt.last_position(a)
+        assert out.data.flags.c_contiguous and not np.shares_memory(out.data, a.data)
+        assert np.array_equal(out.data, a.data[:, -1])
+        with pytest.raises(tt.ShapeError):
+            tt.last_position(Tensor(self.rng.gaussian((2, 3))))
 
     def test_reshape_sum_axis(self):
         a = self._t((2, 6))
